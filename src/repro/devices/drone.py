@@ -81,22 +81,35 @@ def drone_actions() -> ActionLibrary:
 
 
 def builtin_drone_policies(actions: ActionLibrary) -> PolicySet:
-    """The human-written management baseline (sec V 'policy-based management')."""
+    """The human-written management baseline (sec V 'policy-based management').
+
+    Ids are fixed per device (``<event>:<action>``), not drawn from the
+    process-wide policy counter: decisions and crash dumps carry them,
+    so a run's stored bytes must not depend on what the process built
+    before it.
+    """
     return PolicySet([
         Policy.make("timer", "temp > 80", actions.get("cool_down"),
-                    priority=10, source="builtin", policy_id=None),
+                    priority=10, source="builtin",
+                    policy_id="timer:cool_down"),
         Policy.make("timer", "mode == 'patrol' and fuel > 20",
-                    actions.get("patrol"), priority=1, source="builtin"),
+                    actions.get("patrol"), priority=1, source="builtin",
+                    policy_id="timer:patrol"),
         Policy.make("timer", "fuel <= 20", actions.get("return_to_base"),
-                    priority=5, source="builtin"),
+                    priority=5, source="builtin",
+                    policy_id="timer:return_to_base"),
         Policy.make("sensor.smoke", "fuel > 10", actions.get("investigate"),
-                    priority=5, source="builtin"),
+                    priority=5, source="builtin",
+                    policy_id="sensor.smoke:investigate"),
         Policy.make("sensor.convoy", None, actions.get("call_support"),
-                    priority=5, source="builtin"),
+                    priority=5, source="builtin",
+                    policy_id="sensor.convoy:call_support"),
         Policy.make("mgmt.strike", None, actions.get("strike"),
-                    priority=20, source="builtin"),
+                    priority=20, source="builtin",
+                    policy_id="mgmt.strike:strike"),
         Policy.make("mgmt.return", None, actions.get("return_to_base"),
-                    priority=20, source="builtin"),
+                    priority=20, source="builtin",
+                    policy_id="mgmt.return:return_to_base"),
     ])
 
 

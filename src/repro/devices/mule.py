@@ -100,19 +100,26 @@ def digging_obligation_ontology(actions: ActionLibrary) -> ObligationOntology:
 
 
 def builtin_mule_policies(actions: ActionLibrary) -> PolicySet:
+    """The mule's management baseline; ids fixed per device, as for
+    :func:`~repro.devices.drone.builtin_drone_policies`."""
     return PolicySet([
         Policy.make("timer", "temp > 80", actions.get("cool_down"),
-                    priority=10, source="builtin"),
+                    priority=10, source="builtin",
+                    policy_id="timer:cool_down"),
         Policy.make("net.dispatch", None, actions.get("intercept"),
-                    priority=5, source="builtin"),
+                    priority=5, source="builtin",
+                    policy_id="net.dispatch:intercept"),
         # Pursuit continuation: keep closing on the target every tick while
         # in intercept mode (the actuator stands down when done).
         Policy.make("timer", "mode == 'intercept' and fuel > 5",
-                    actions.get("intercept"), priority=6, source="builtin"),
+                    actions.get("intercept"), priority=6, source="builtin",
+                    policy_id="timer:intercept"),
         Policy.make("mgmt.dig", None, actions.get("dig_trench"),
-                    priority=20, source="builtin"),
+                    priority=20, source="builtin",
+                    policy_id="mgmt.dig:dig_trench"),
         Policy.make("mgmt.move", None, actions.get("move"),
-                    priority=20, source="builtin"),
+                    priority=20, source="builtin",
+                    policy_id="mgmt.move:move"),
     ])
 
 

@@ -8,7 +8,6 @@ snapshot, so every metric supports a plain-dict export.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from typing import Optional
 
 
@@ -57,20 +56,33 @@ class Gauge:
 class Histogram:
     """Streaming distribution summary with exact quantiles.
 
-    Keeps a sorted list of observations; experiment scales here are small
-    (≤ millions of points) so exactness is worth the O(log n) insert.
+    Cost model: :meth:`observe` is O(1) — it appends to an unsorted
+    list.  The list is sorted in place only when something reads it
+    (:meth:`quantile`, :attr:`min`, :attr:`max`, :meth:`snapshot`), so
+    the first read after new observations pays one sort and later reads
+    pay nothing until the next observation.  Experiment scales here are
+    small (≤ millions of points), so exactness is worth keeping every
+    value.
+
+    Every ``observe`` and every read runs on one thread: the simulator
+    loop, or the asyncio loop of the control plane.  The read side is
+    still safe against an append landing mid-read: it captures the
+    count *before* sorting and records that as the sorted count, so a
+    value appended during or after the sort forces one more sort on the
+    next read instead of being skipped.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._sorted: list[float] = []
+        self._values: list[float] = []
+        self._sorted_count = 0
         self._sum = 0.0
         self._watchers: list = []
 
     def observe(self, value: float) -> None:
         if math.isnan(value):
             raise ValueError(f"histogram {self.name} observed NaN")
-        insort(self._sorted, value)
+        self._values.append(value)
         self._sum += value
         if self._watchers:
             for watcher in self._watchers:
@@ -80,27 +92,39 @@ class Histogram:
         """Stream every future observation to ``watcher(value)``.
 
         This is how O(1)-memory online estimators (EWMA, P²) ride along
-        a histogram without re-walking its sorted list; the hot
+        a histogram without re-walking its values; the hot
         :meth:`observe` path pays one truthiness check when nobody
         subscribed.
         """
         self._watchers.append(watcher)
 
+    def _sorted(self) -> tuple[list[float], int]:
+        """``(values, n)`` with ``values[:n]`` sorted: the observations
+        seen when the read began."""
+        values = self._values
+        n = len(values)
+        if n != self._sorted_count:
+            values.sort()
+            self._sorted_count = n
+        return values, n
+
     @property
     def count(self) -> int:
-        return len(self._sorted)
+        return len(self._values)
 
     @property
     def mean(self) -> float:
-        return self._sum / len(self._sorted) if self._sorted else 0.0
+        return self._sum / len(self._values) if self._values else 0.0
 
     @property
     def min(self) -> float:
-        return self._sorted[0] if self._sorted else 0.0
+        values, n = self._sorted()
+        return values[0] if n else 0.0
 
     @property
     def max(self) -> float:
-        return self._sorted[-1] if self._sorted else 0.0
+        values, n = self._sorted()
+        return values[n - 1] if n else 0.0
 
     def quantile(self, q: float) -> Optional[float]:
         """The q-quantile (0 ≤ q ≤ 1) by linear interpolation, or
@@ -112,15 +136,16 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        if not self._sorted:
+        values, n = self._sorted()
+        if not n:
             return None
-        idx = q * (len(self._sorted) - 1)
+        idx = q * (n - 1)
         lo = int(math.floor(idx))
         hi = int(math.ceil(idx))
-        if lo == hi or self._sorted[lo] == self._sorted[hi]:
-            return self._sorted[lo]
+        if lo == hi or values[lo] == values[hi]:
+            return values[lo]
         frac = idx - lo
-        return self._sorted[lo] * (1 - frac) + self._sorted[hi] * frac
+        return values[lo] * (1 - frac) + values[hi] * frac
 
     def snapshot(self) -> dict:
         return {

@@ -1,5 +1,7 @@
 """Unit tests for metric primitives."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,6 +105,126 @@ class TestHistogram:
             assert higher >= lower - 1e-9
         assert quantiles[0] == histogram.min
         assert quantiles[-1] == histogram.max
+
+    def test_read_sorts_once_then_reuses_the_order(self):
+        histogram = Histogram("h")
+        for value in (3.0, 1.0, 2.0):
+            histogram.observe(value)
+        assert histogram.min == 1.0
+        sorted_list = histogram._values
+        assert sorted_list == [1.0, 2.0, 3.0]
+        histogram.observe(0.5)
+        assert histogram.quantile(0.0) == 0.5
+        assert histogram._values is sorted_list
+
+
+_READS = ("count", "mean", "min", "max", "snapshot", "quantile")
+
+
+def _expected(read: str, q: float, seen: list):
+    """The statistic recomputed from scratch over ``sorted(seen)``."""
+    ordered = sorted(seen)
+    n = len(ordered)
+
+    def quantile(q):
+        if not n:
+            return None
+        idx = q * (n - 1)
+        lo, hi = math.floor(idx), math.ceil(idx)
+        if lo == hi or ordered[lo] == ordered[hi]:
+            return ordered[lo]
+        return ordered[lo] * (1 - (idx - lo)) + ordered[hi] * (idx - lo)
+
+    mean = sum(seen) / n if n else 0.0
+    low = ordered[0] if n else 0.0
+    high = ordered[-1] if n else 0.0
+    if read == "count":
+        return n
+    if read == "mean":
+        return mean
+    if read == "min":
+        return low
+    if read == "max":
+        return high
+    if read == "quantile":
+        return quantile(q)
+    return {"type": "histogram", "count": n, "mean": mean, "min": low,
+            "max": high, "p50": quantile(0.5), "p95": quantile(0.95),
+            "p99": quantile(0.99)}
+
+
+class TestHistogramReadsAfterAppends:
+    """Observations append; reads sort on demand.  Any interleaving must
+    answer exactly as a sorted list of everything seen so far would."""
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("observe"),
+                  st.floats(min_value=-1e6, max_value=1e6)),
+        st.tuples(st.sampled_from(_READS),
+                  st.floats(min_value=0.0, max_value=1.0)),
+    ), max_size=60))
+    def test_any_interleaving_matches_a_fresh_sort(self, steps):
+        histogram = Histogram("h")
+        watched: list = []
+        histogram.subscribe(watched.append)
+        seen: list = []
+        for op, arg in steps:
+            if op == "observe":
+                histogram.observe(arg)
+                seen.append(arg)
+                continue
+            if op == "quantile":
+                got = histogram.quantile(arg)
+            elif op == "snapshot":
+                got = histogram.snapshot()
+            else:
+                got = getattr(histogram, op)
+            assert got == _expected(op, arg, seen)
+        assert watched == seen
+
+    def test_append_from_a_watcher_after_a_read_is_not_skipped(self):
+        histogram = Histogram("h")
+
+        def read_then_observe(value):
+            if value == 5.0:
+                assert histogram.max == 5.0     # sorts 2 values
+                histogram.observe(9.0)          # lands after that sort
+
+        histogram.observe(1.0)
+        histogram.subscribe(read_then_observe)
+        histogram.observe(5.0)
+        assert histogram.count == 3
+        assert histogram.max == 9.0
+        assert histogram.quantile(0.5) == 5.0
+
+    @pytest.mark.parametrize("lands, this_read", [("before", 3.0),
+                                                   ("after", 4.0)])
+    def test_append_racing_the_sort_is_not_skipped(self, lands, this_read):
+        histogram = Histogram("h")
+        raced = []
+
+        class ObservesDuringSort(list):
+            # The hook runs after the read captured its length: one
+            # observation lands just before or just after the sort.
+            def sort(self, *args, **kwargs):
+                if lands == "after":
+                    super().sort(*args, **kwargs)
+                if not raced:
+                    raced.append(0.5)
+                    histogram.observe(0.5)
+                if lands == "before":
+                    super().sort(*args, **kwargs)
+
+        for value in (4.0, 2.0, 3.0):
+            histogram.observe(value)
+        histogram._values = ObservesDuringSort(histogram._values)
+        # The racing read answers from the first n = 3 slots, which are
+        # sorted either way.
+        assert histogram.quantile(1.0) == this_read
+        assert histogram.count == 4
+        assert histogram.min == 0.5
+        assert histogram.max == 4.0
+        assert histogram.quantile(0.5) == 2.5
 
 
 class TestTimeSeries:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+import repro.core.policy as policy_module
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import SafeguardConfig
 from repro.sim.faults import DeviceCrash, FaultPlan
@@ -152,3 +155,43 @@ class TestCrashSurvival:
         scenario = ConfrontationScenario(
             seed=7, config=SafeguardConfig.only(watchdog=True, sealed=True))
         assert scenario.flight is None
+
+
+class TestRepeatableDumps:
+    """Crash dumps carry the policy ids of recent decisions, so ids drawn
+    from the process-wide policy counter would make a run's stored bytes
+    depend on what else the process built before it."""
+
+    HORIZON = 200.0     # past the first crash after a traced builtin decision
+
+    @staticmethod
+    def _storm(seed: int) -> ConfrontationScenario:
+        # Every device crashes once a minute, staggered, and restarts 2 s
+        # later.
+        devices = sorted(f"{org}-{kind}{index}" for org in ("us", "uk")
+                         for kind, count in (("drone", 4), ("mule", 2))
+                         for index in range(count))
+        faults = [DeviceCrash(device_id, start + 1.2 * offset,
+                              restart_after=2.0)
+                  for start in (5.0, 65.0, 125.0, 185.0)
+                  for offset, device_id in enumerate(devices)]
+        return ConfrontationScenario(
+            seed=seed, config=SafeguardConfig.full(),
+            threats=ThreatConfig.all(), durability="journal",
+            safety_transport="reliable", signed_commands=True, health=True,
+            spans_enabled=True, fault_plan=FaultPlan(faults=tuple(faults)),
+            supervision="isolate")
+
+    def test_storm_writes_the_same_bytes_twice_in_one_process(self, monkeypatch):
+        written = []
+        # The second run starts the policy counter at a different digit
+        # count, so any counter-drawn id on the fleet path changes the
+        # length of the dumps that carry it.
+        for start in (1, 10 ** 6):
+            monkeypatch.setattr(policy_module, "_policy_seq",
+                                itertools.count(start))
+            scenario = self._storm(seed=1)
+            scenario.run(until=self.HORIZON)
+            assert scenario.flight.dumps > 0
+            written.append(scenario.storage.bytes_written)
+        assert written[0] == written[1]
