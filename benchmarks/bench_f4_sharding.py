@@ -16,6 +16,12 @@ Three claims, one experiment file:
   speedup cell instead of a number, following the F2 precedent of never
   letting a shared-runner wall clock fail a correctness suite.
 
+* **Crossover** (full mode only) — one shard runs in-process, more
+  shards run in worker processes.  The ``crossover`` cell times 1 vs 2
+  shards in alternating pairs at 10k and at 100k devices (wall times as
+  data, digest equality asserted), one fleet size on each side of the
+  point where the processes start to pay.
+
 * **Scale** — one 10k-device confrontation (240k guard decisions)
   completes within a fixed wall budget on one core.
 
@@ -27,7 +33,10 @@ Quick mode (``F4_QUICK=1``, used by CI's perf-smoke job): 2k devices,
 
 import json
 import os
+import statistics
 import time
+
+import pytest
 
 from repro.scenarios.harness import ExperimentTable
 from repro.scenarios.sharded import ShardedScenario
@@ -40,6 +49,8 @@ SHARD_COUNTS = (1, 2) if QUICK else (1, 2, 4)
 SPEEDUP_FLOOR = 3.0
 SCALE_WALL_BUDGET_SEC = 60.0
 MIN_CORES_FOR_SPEEDUP = 4
+CROSSOVER_SIZES = (N_DEVICES, 100_000)
+CROSSOVER_PAIRS = 5
 
 SPEC = dict(seed=7, horizon=HORIZON, window=4.0, n_communities=64,
             n_devices=N_DEVICES)
@@ -115,8 +126,7 @@ def test_f4_shard_scaling(experiment):
     cores = os.cpu_count() or 1
     runs = {}
     for n_shards in SHARD_COUNTS:
-        runs[n_shards] = timed_run(n_shards=n_shards,
-                                   processes=n_shards > 1)
+        runs[n_shards] = timed_run(n_shards=n_shards)
 
     base_run, base_wall = runs[SHARD_COUNTS[0]]
     table = ExperimentTable(
@@ -170,3 +180,43 @@ def test_f4_scale_within_wall_budget():
     assert wall < SCALE_WALL_BUDGET_SEC
     assert run.summary["devices"] == N_DEVICES
     assert run.summary["healthy_killed"] == 0
+
+
+def test_f4_crossover_one_shard_vs_two_processes(experiment):
+    """1 in-process shard vs 2 worker processes at 10k and at 100k
+    devices: alternating pairs, digests asserted equal per size, wall
+    times recorded as data (no wall-clock gate)."""
+    if QUICK:
+        pytest.skip("the 100k-device crossover runs in full mode only")
+    table = ExperimentTable(
+        f"F4 crossover, 1 shard vs 2 processes ({os.cpu_count()} cores, "
+        f"{CROSSOVER_PAIRS} alternating pairs)",
+        ["devices", "1 shard median s", "2 shards median s", "2 wins"],
+    )
+    sizes = {}
+    for devices in CROSSOVER_SIZES:
+        walls: dict = {1: [], 2: []}
+        digests = set()
+        for _ in range(CROSSOVER_PAIRS):
+            for n_shards in (1, 2):
+                run, wall = timed_run(n_shards=n_shards, n_devices=devices)
+                walls[n_shards].append(wall)
+                digests.add((run.trace_digest, run.audit_digest))
+        assert len(digests) == 1, f"digests differ at {devices} devices"
+        wins = sum(two < one for one, two in zip(walls[1], walls[2]))
+        medians = {n: statistics.median(samples)
+                   for n, samples in walls.items()}
+        table.add_row(devices, round(medians[1], 3), round(medians[2], 3),
+                      f"{wins}/{CROSSOVER_PAIRS}")
+        sizes[str(devices)] = {
+            "wall_sec": {str(n): samples for n, samples in walls.items()},
+            "median_wall_sec": {str(n): m for n, m in medians.items()},
+            "two_shard_wins": wins,
+            "trace_digest": next(iter(digests))[0],
+        }
+    experiment(table)
+    _export("crossover", {
+        "horizon": HORIZON, "cores": os.cpu_count(),
+        "pairs": CROSSOVER_PAIRS, "devices": sizes,
+        "gate": "none: wall times are data; digest equality asserted",
+    })

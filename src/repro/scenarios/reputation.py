@@ -58,12 +58,12 @@ from dataclasses import dataclass
 from repro.crypto.envelope import CommandSigner, EnvelopeVerifier
 from repro.crypto.keyring import Keyring
 from repro.errors import ConfigurationError
-from repro.net.shardnet import ShardRouter, crc01
+from repro.net.shardnet import crc01
 from repro.safeguards.gateway import ActuationGateway
 from repro.safeguards.lease import (LEASE_GRANT_TOPIC, LEASE_REVOKE_TOPIC,
                                     LeaseAuthority)
-from repro.sim.sharding import ShardPlan, ShardResult, ShardedRun, run_sharded
-from repro.sim.simulator import Simulator
+from repro.sim.sharding import (FleetScenario, FleetShardBase, FleetSpec,
+                                ShardedRun)
 from repro.trust.reputation import ReputationLedger
 
 #: Router addresses of the pinned control-plane actors.
@@ -77,21 +77,14 @@ LEDGER_WEIGHTS = {"validated": 0.02, "alert": -0.15}
 
 
 @dataclass(frozen=True)
-class ReputationFleetSpec:
-    """Everything that determines an E22 degraded-ops run.
-
-    Frozen and picklable; equal specs must produce byte-identical merged
-    runs for every shard count.
-    """
+class ReputationFleetSpec(FleetSpec):
+    """Everything that determines an E22 degraded-ops run."""
 
     seed: int = 11
-    n_devices: int = 24
+    window: float = 2.0
     #: size of group B — the last ``n_b`` devices, cut off with the
     #: overseer when the partition is up.
     n_b: int = 6
-    horizon: float = 48.0
-    window: float = 2.0
-    tick_interval: float = 1.0
     #: arms.
     weighted: bool = True
     leased: bool = True
@@ -122,12 +115,9 @@ class ReputationFleetSpec:
     vent_timeout: float = 5.0
 
     def validate(self) -> None:
-        if self.n_devices < 4:
-            raise ConfigurationError("need at least 4 devices")
+        super().validate()
         if not 1 <= self.n_b < self.n_devices:
             raise ConfigurationError("n_b must be in [1, n_devices)")
-        if self.window <= 0 or self.horizon <= 0 or self.tick_interval <= 0:
-            raise ConfigurationError("times must be positive")
         if self.lease_duration <= 0 or self.vent_timeout <= 0:
             raise ConfigurationError("durations must be positive")
         if self.partition_end < self.partition_start:
@@ -170,21 +160,12 @@ def _make_ledger() -> ReputationLedger:
                             min_weight=0.25, full_weight_at=0.6)
 
 
-class ReputationShard:
+class ReputationShard(FleetShardBase):
     """One shard's device slice plus its pinned control-plane actors."""
 
     def __init__(self, shard_index: int, n_shards: int, members: list,
                  spec: ReputationFleetSpec):
-        spec.validate()
-        self.spec = spec
-        self.shard_index = shard_index
-        self.n_shards = n_shards
-        self.sim = Simulator(seed=spec.seed)
-        self.router = ShardRouter(self.sim, seed=spec.seed,
-                                  window=spec.window)
-        self.devices = sorted(m for m in members if m.startswith("dev-"))
-        self.global_index = {name: int(name.split("-", 1)[1])
-                             for name in self.devices}
+        super().__init__(shard_index, n_shards, members, spec)
         self.rogue_name = device_name(rogue_index(spec))
         self.b_names = set(group_b_names(spec))
 
@@ -222,10 +203,6 @@ class ReputationShard:
             "vents_b_partition": 0, "no_quorum_rejects": 0,
             "partition_dropped": 0,
         }
-
-        for name in self.devices:
-            self.router.register(name, self._make_device_handler(name))
-        self.sim.every(spec.tick_interval, self._tick, label="fleet:tick")
 
         # Pinned actors.
         self._warden_ledger = None
@@ -289,7 +266,7 @@ class ReputationShard:
 
     # -- the per-tick device loop ---------------------------------------------
 
-    def _tick(self) -> None:
+    def tick(self) -> None:
         spec = self.spec
         tick = int(round(self.sim.now / spec.tick_interval))
         for name in self.devices:
@@ -368,18 +345,15 @@ class ReputationShard:
 
     # -- device message handling -------------------------------------------------
 
-    def _make_device_handler(self, name: str):
-        def handle(message) -> None:
-            if message.topic == "cmd.kill":
-                self._handle_kill(name, message.body)
-            elif message.topic == "vent.approve":
-                self._handle_vent_approve(name, message.body)
-            elif message.topic == LEASE_GRANT_TOPIC:
-                self.registry.admit_grant(message.body)
-            elif message.topic == LEASE_REVOKE_TOPIC:
-                self._handle_lease_revoke(message.body)
-
-        return handle
+    def on_device_message(self, name: str, message) -> None:
+        if message.topic == "cmd.kill":
+            self._handle_kill(name, message.body)
+        elif message.topic == "vent.approve":
+            self._handle_vent_approve(name, message.body)
+        elif message.topic == LEASE_GRANT_TOPIC:
+            self.registry.admit_grant(message.body)
+        elif message.topic == LEASE_REVOKE_TOPIC:
+            self._handle_lease_revoke(message.body)
 
     def _handle_kill(self, name: str, body: dict) -> None:
         def execute() -> None:
@@ -493,7 +467,7 @@ class ReputationShard:
 
     # -- finalize --------------------------------------------------------------------
 
-    def finalize(self) -> ShardResult:
+    def summary(self) -> dict:
         counters = dict(self.counters)
         counters["alive"] = sum(1 for name in self.devices
                                 if self.alive[name])
@@ -510,51 +484,16 @@ class ReputationShard:
         counters["leased"] = self.spec.leased
         counters["partition"] = self.spec.partition
         counters["rogue"] = self.spec.rogue
-        trace = [
-            (event.time, event.subject,
-             f"{event.time!r} {event.kind} {event.subject} "
-             f"{json.dumps(event.detail, sort_keys=True)}")
-            for event in self.sim.trace.events
-        ]
-        metrics = {
-            "net.shard.sent": self.router._m_sent.value,
-            "net.shard.delivered": self.router._m_delivered.value,
-        }
-        return ShardResult(
-            shard_index=self.shard_index, trace=trace, summary=counters,
-            audit=[], spans=[], metrics=metrics,
-            events_processed=self.sim.events_processed,
-        )
+        return counters
 
 
-def build_shard(shard_index: int, n_shards: int, members: list,
-                build_args: dict) -> ReputationShard:
-    """Module-level (picklable) build function for :func:`run_sharded`."""
-    return ReputationShard(shard_index, n_shards, members, build_args["spec"])
-
-
-class ReputationScenario:
+class ReputationScenario(FleetScenario):
     """The user-facing wrapper: spec + shard count -> merged run."""
 
-    def __init__(self, n_shards: int = 1, processes: bool = False,
-                 **spec_kwargs):
-        self.spec = ReputationFleetSpec(**spec_kwargs)
-        self.spec.validate()
-        if n_shards < 1:
-            raise ConfigurationError("n_shards must be >= 1")
-        self.n_shards = n_shards
-        self.processes = processes
-
-    def plan(self) -> ShardPlan:
-        pins = {WARDEN: 0, OVERSEER: self.n_shards - 1}
-        return ShardPlan.build(fleet_members(self.spec), self.n_shards,
-                               pins=pins)
-
-    def run(self) -> ShardedRun:
-        return run_sharded(build_shard, {"spec": self.spec}, self.plan(),
-                           horizon=self.spec.horizon,
-                           window=self.spec.window,
-                           processes=self.processes)
+    spec_cls = ReputationFleetSpec
+    shard_cls = ReputationShard
+    pinned = (WARDEN, OVERSEER)
+    members = staticmethod(fleet_members)
 
 
 def parse_lease_events(run: ShardedRun) -> list:

@@ -52,10 +52,9 @@ from typing import Optional
 from repro.crypto.envelope import CommandSigner, EnvelopeVerifier, signed_body
 from repro.crypto.keyring import Keyring
 from repro.errors import ConfigurationError
-from repro.net.shardnet import ShardRouter, crc01
+from repro.net.shardnet import crc01
 from repro.safeguards.batch import BatchPolicyEvaluator, BatchProgram
-from repro.sim.sharding import ShardPlan, ShardResult, ShardedRun, run_sharded
-from repro.sim.simulator import Simulator
+from repro.sim.sharding import FleetScenario, FleetShardBase, FleetSpec
 from repro.statespace.batch import StateMatrix, numpy_available
 from repro.statespace.classifier import ThresholdBand, ThresholdClassifier
 from repro.core.actions import Effect
@@ -73,19 +72,11 @@ FORGER = "forger"
 
 
 @dataclass(frozen=True)
-class ShardedFleetSpec:
-    """Everything that determines a sharded confrontation run.
-
-    Frozen and picklable: the coordinator ships one of these to every
-    worker, and equal specs must produce byte-identical merged runs
-    regardless of ``n_shards``.
-    """
+class ShardedFleetSpec(FleetSpec):
+    """Everything that determines a sharded confrontation run."""
 
     seed: int = 7
     n_devices: int = 200
-    horizon: float = 48.0
-    window: float = 4.0
-    tick_interval: float = 1.0
     n_communities: int = 8
     #: temperature reporting: every device whose temp exceeds
     #: ``report_temp`` reports to the watchdog on its stagger slot.
@@ -113,12 +104,12 @@ class ShardedFleetSpec:
     vectorized: bool = True
 
     def validate(self) -> None:
-        if self.n_devices < 4:
-            raise ConfigurationError("need at least 4 devices")
-        if self.window <= 0 or self.horizon <= 0 or self.tick_interval <= 0:
-            raise ConfigurationError("times must be positive")
+        super().validate()
         if self.n_communities < 1:
             raise ConfigurationError("n_communities must be >= 1")
+        if self.report_every < 1 or self.spread_every < 1:
+            raise ConfigurationError(
+                "report_every and spread_every must be >= 1")
         if not 0.0 <= self.spread_prob <= 1.0:
             raise ConfigurationError("spread_prob must be in [0, 1]")
 
@@ -217,30 +208,13 @@ def forge_target_index(spec: ShardedFleetSpec, k: int) -> int:
     return int(crc01(spec.seed, "forge", k) * spec.n_devices)
 
 
-class FleetShard:
-    """One shard's slice of the fleet plus its pinned global actors.
-
-    Exposes the ``.sim`` / ``.router`` / ``.finalize()`` surface
-    :func:`repro.sim.sharding.run_sharded` drives.
-    """
+class FleetShard(FleetShardBase):
+    """One shard's slice of the fleet plus its pinned global actors."""
 
     def __init__(self, shard_index: int, n_shards: int, members: list,
                  spec: ShardedFleetSpec):
-        if _np is None:
-            raise ConfigurationError(
-                "numpy is required for the sharded fleet scenario")
-        spec.validate()
-        self.spec = spec
-        self.shard_index = shard_index
-        self.n_shards = n_shards
-        self.sim = Simulator(seed=spec.seed)
-        self.router = ShardRouter(self.sim, seed=spec.seed,
-                                  window=spec.window)
-        self.devices = sorted(m for m in members if m.startswith("dev-"))
+        super().__init__(shard_index, n_shards, members, spec)
         self.index_of = {name: i for i, name in enumerate(self.devices)}
-        self.global_index = {name: int(name.split("-", 1)[1])
-                             for name in self.devices}
-
         self.space = fleet_space()
         self.classifier = fleet_classifier()
         self.programs = fleet_programs(spec)
@@ -264,8 +238,6 @@ class FleetShard:
         # as the parent of its outgoing spread sends.  Shard-invariant by
         # construction (derived from device names, not tracer counters).
         self.infection_ctx: dict = {}
-        self.spans: list = []
-        self.audit: list = []
 
         # E21: the shared keyring is derived from the master seed, so
         # every process holds identical keys without any exchange.
@@ -280,9 +252,6 @@ class FleetShard:
         }
         self.authz_rejected: dict = {}
 
-        for name in self.devices:
-            self.router.register(name, self._make_device_handler(name))
-        self.sim.every(spec.tick_interval, self._tick, label="fleet:tick")
         for index in worm_seed_indices(spec):
             name = device_name(index)
             if name in self.index_of:
@@ -304,7 +273,7 @@ class FleetShard:
 
     # -- the per-tick batch evaluation ---------------------------------------
 
-    def _tick(self) -> None:
+    def tick(self) -> None:
         np = _np
         spec = self.spec
         n = self.matrix.n_rows
@@ -389,14 +358,11 @@ class FleetShard:
 
     # -- device message handling ----------------------------------------------
 
-    def _make_device_handler(self, name: str):
-        def handle(message) -> None:
-            if message.topic == "worm.infect":
-                self._infect(name, origin=message.sender, ctx=message.trace)
-            elif message.topic == "cmd.kill":
-                self._handle_kill(name, message)
-
-        return handle
+    def on_device_message(self, name: str, message) -> None:
+        if message.topic == "worm.infect":
+            self._infect(name, origin=message.sender, ctx=message.trace)
+        elif message.topic == "cmd.kill":
+            self._handle_kill(name, message)
 
     def _verifier_for(self, name: str) -> EnvelopeVerifier:
         verifier = self._verifiers.get(name)
@@ -489,73 +455,37 @@ class FleetShard:
 
     # -- finalize ---------------------------------------------------------------
 
-    def finalize(self) -> ShardResult:
+    def summary(self) -> dict:
         alive = self.matrix.columns["alive"]
         stats = self.evaluator.stats()
-        summary = {
+        return {
             "devices": len(self.devices),
             "alive": int(alive.sum()),
-            "infected": self.counters["infected"],
-            "killed": self.counters["killed"],
-            "healthy_killed": self.counters["healthy_killed"],
-            "harm_strikes": self.counters["harm_strikes"],
-            "vetoes": self.counters["vetoes"],
-            "reports": self.counters["reports"],
-            "kill_orders": self.counters["kill_orders"],
-            "forged_orders": self.counters["forged_orders"],
+            **self.counters,
             "authz_rejected": dict(self.authz_rejected),
             "decisions": stats["decisions"],
             "fallback_reasons": dict(stats["fallback_reasons"]),
             "signed_commands": self.spec.signed_commands,
             "vectorized": self.spec.vectorized,
         }
-        trace = [
-            (event.time, event.subject,
-             f"{event.time!r} {event.kind} {event.subject} "
-             f"{json.dumps(event.detail, sort_keys=True)}")
-            for event in self.sim.trace.events
-        ]
-        metrics = {
-            "net.shard.sent": self.router._m_sent.value,
-            "net.shard.delivered": self.router._m_delivered.value,
-            "vector_evals": stats["vector_evals"],
-            "scalar_evals": stats["scalar_evals"],
-        }
-        return ShardResult(
-            shard_index=self.shard_index, trace=trace, summary=summary,
-            audit=list(self.audit), spans=list(self.spans), metrics=metrics,
-            events_processed=self.sim.events_processed,
-        )
+
+    def extra_metrics(self) -> dict:
+        stats = self.evaluator.stats()
+        return {"vector_evals": stats["vector_evals"],
+                "scalar_evals": stats["scalar_evals"]}
 
 
-def build_shard(shard_index: int, n_shards: int, members: list,
-                build_args: dict) -> FleetShard:
-    """Module-level (picklable) build function for :func:`run_sharded`."""
-    return FleetShard(shard_index, n_shards, members, build_args["spec"])
-
-
-class ShardedScenario:
+class ShardedScenario(FleetScenario):
     """The user-facing wrapper: spec + shard count -> merged run."""
 
-    def __init__(self, n_shards: int = 1, processes: bool = False,
-                 **spec_kwargs):
+    spec_cls = ShardedFleetSpec
+    shard_cls = FleetShard
+    pinned = (WATCHDOG, FORGER)
+    members = staticmethod(fleet_members)
+    edges = staticmethod(fleet_edges)
+
+    def __init__(self, n_shards: int = 1, **spec_kwargs):
         if not numpy_available():
             raise ConfigurationError(
                 "numpy is required for the sharded fleet scenario")
-        self.spec = ShardedFleetSpec(**spec_kwargs)
-        self.spec.validate()
-        if n_shards < 1:
-            raise ConfigurationError("n_shards must be >= 1")
-        self.n_shards = n_shards
-        self.processes = processes
-
-    def plan(self) -> ShardPlan:
-        pins = {WATCHDOG: 0, FORGER: self.n_shards - 1}
-        return ShardPlan.build(fleet_members(self.spec), self.n_shards,
-                               edges=fleet_edges(self.spec), pins=pins)
-
-    def run(self) -> ShardedRun:
-        return run_sharded(build_shard, {"spec": self.spec}, self.plan(),
-                           horizon=self.spec.horizon,
-                           window=self.spec.window,
-                           processes=self.processes)
+        super().__init__(n_shards, **spec_kwargs)

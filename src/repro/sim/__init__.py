@@ -15,7 +15,6 @@ from repro.sim.sharding import (
     ShardPlan,
     ShardResult,
     ShardedRun,
-    partition_crc,
     partition_graph,
     run_sharded,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "TimeSeries",
     "TraceEvent",
     "TraceRecorder",
-    "partition_crc",
     "partition_graph",
     "profile_run",
     "run_sharded",

@@ -13,9 +13,8 @@ What makes that hold (each point is load-bearing):
 
 * **Shard assignment is deterministic** — :func:`partition_graph` grows
   shards by breadth-first search from evenly spaced seeds over the
-  sorted member list (communities stay together), and
-  :func:`partition_crc` offers the ``cell_seed``-style hashed
-  assignment; both are pure functions of ``(members, edges, n_shards)``.
+  sorted member list (communities stay together); it is a pure function
+  of ``(members, edges, n_shards)``.
 * **Per-device behaviour is assignment-invariant** — every shard
   simulator is built from the *same* master seed, and
   :class:`~repro.sim.rng.SeededRNG` derives substreams by hashing
@@ -31,27 +30,32 @@ What makes that hold (each point is load-bearing):
   ``(time, subject)``; each subject lives entirely in one shard, so the
   per-subject record order is the shard's own generation order.
 
-The worker side (:func:`shard_worker`) keeps a live shard across windows
-in a forked process and speaks a tiny pipe protocol: ``run`` a window,
-return the outbox; ``finalize``, return a :class:`ShardResult`.  The
-in-process mode runs the identical code path shard-by-shard and is the
-reference "serial" execution.
+A one-shard run steps its shard in this process; with more shards each
+one lives in a forked worker (:func:`shard_worker`) and the windows
+overlap.  Both speak one tiny protocol: ``run`` a window, return the
+outbox; ``finalize``, return a :class:`ShardResult`.
+
+The fleet scaffold at the bottom (:class:`FleetSpec`,
+:class:`FleetShardBase`, :class:`FleetScenario`) is what every sharded
+device-fleet model shares; a model supplies only its own state, tick,
+message handling and summary.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import multiprocessing
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.net.shardnet import wire_sort_key
+from repro.net.shardnet import ShardRouter, wire_sort_key
 from repro.sim.profiling import BarrierTiming
+from repro.sim.simulator import Simulator
 
 #: ``build_fn(shard_index, n_shards, members, build_args)`` returns a
 #: runtime object exposing ``.sim``, ``.router`` and ``.finalize()``.
@@ -61,21 +65,6 @@ BuildFn = Callable[[int, int, list, dict], object]
 # ---------------------------------------------------------------------------
 # Partitioning
 # ---------------------------------------------------------------------------
-
-
-def partition_crc(members, n_shards: int, salt=0) -> dict:
-    """``cell_seed``-style hashed assignment: member -> shard.
-
-    Spreads members uniformly but ignores the interaction graph; use it
-    as the baseline the graph partitioner is measured against.
-    """
-    if n_shards < 1:
-        raise ConfigurationError("n_shards must be >= 1")
-    assignment = {}
-    for member in members:
-        text = f"{salt!r}|{member!r}".encode("utf-8")
-        assignment[member] = zlib.crc32(text) % n_shards
-    return assignment
 
 
 def partition_graph(members, edges, n_shards: int) -> dict:
@@ -154,30 +143,23 @@ class ShardPlan:
 
     n_shards: int
     assignment: dict
-    strategy: str = "graph"
 
     @staticmethod
-    def build(members, n_shards: int, edges=(), pins: Optional[dict] = None,
-              strategy: str = "graph", salt=0) -> "ShardPlan":
-        """Partition ``members`` (graph BFS or CRC hash), then apply pins.
+    def build(members, n_shards: int, edges=(),
+              pins: Optional[dict] = None) -> "ShardPlan":
+        """Partition ``members`` along ``edges``, then apply pins.
 
         ``pins`` maps members (e.g. a fleet-global watchdog) to fixed
         shard indices — pinned members join the plan without affecting
         the balance of the partitioned fleet.
         """
-        if strategy == "graph":
-            assignment = partition_graph(members, edges, n_shards)
-        elif strategy == "crc":
-            assignment = partition_crc(members, n_shards, salt=salt)
-        else:
-            raise ConfigurationError(f"unknown partition strategy {strategy!r}")
+        assignment = partition_graph(members, edges, n_shards)
         for member, shard in (pins or {}).items():
             if not 0 <= shard < n_shards:
                 raise ConfigurationError(
                     f"pin for {member!r} outside [0, {n_shards})")
             assignment[member] = shard
-        return ShardPlan(n_shards=n_shards, assignment=dict(assignment),
-                         strategy=strategy)
+        return ShardPlan(n_shards=n_shards, assignment=dict(assignment))
 
     def members_of(self, shard: int) -> list:
         return sorted(m for m, s in self.assignment.items() if s == shard)
@@ -327,29 +309,47 @@ def route_batches(outboxes, assignment: dict, n_shards: int):
 # Shard hosts: in-process and worker-process
 # ---------------------------------------------------------------------------
 
+#: How long the coordinator waits for a finished worker to exit.
+WORKER_JOIN_SEC = 30.0
+
 
 class ShardHost:
-    """One live shard: a built runtime plus the window-step protocol."""
+    """One live shard: a built runtime plus the window-step protocol.
+
+    A one-shard run talks to it directly (``send`` answers at once and
+    ``recv`` hands the answer back); :func:`shard_worker` serves the same
+    :meth:`handle` from a forked worker process.
+    """
 
     def __init__(self, build_fn: BuildFn, build_args: dict, shard_index: int,
                  n_shards: int, members: list):
-        self.shard_index = shard_index
         self.runtime = build_fn(shard_index, n_shards, list(members),
                                 build_args)
-        self.sim = self.runtime.sim
-        self.router = self.runtime.router
+        self._reply = None
 
-    def run_window(self, barrier: float, inbound) -> tuple:
-        """Inject the barrier batch, run to the barrier; returns
-        ``(outbox, busy_seconds)``."""
-        self.router.inject(inbound)
-        started = perf_counter()
-        self.sim.run(until=barrier)
-        busy = perf_counter() - started
-        return self.router.drain_outbox(), busy
+    def handle(self, command: str, payload):
+        """``run``: inject the barrier batch, run to the barrier, return
+        ``(outbox, busy_seconds)``; ``finalize``: return the
+        :class:`ShardResult`."""
+        if command == "run":
+            barrier, inbound = payload
+            router = self.runtime.router
+            router.inject(inbound)
+            started = perf_counter()
+            self.runtime.sim.run(until=barrier)
+            return router.drain_outbox(), perf_counter() - started
+        if command == "finalize":
+            return self.runtime.finalize()
+        raise SimulationError(f"unknown shard command {command!r}")
 
-    def finalize(self) -> ShardResult:
-        return self.runtime.finalize()
+    def send(self, command: str, payload=None) -> None:
+        self._reply = self.handle(command, payload)
+
+    def recv(self):
+        return self._reply
+
+    def close(self) -> None:
+        pass
 
 
 def shard_worker(conn, build_fn: BuildFn, build_args: dict, shard_index: int,
@@ -357,18 +357,12 @@ def shard_worker(conn, build_fn: BuildFn, build_args: dict, shard_index: int,
     """Worker-process loop: build once, step windows over the pipe."""
     try:
         host = ShardHost(build_fn, build_args, shard_index, n_shards, members)
-        conn.send(("ready", shard_index))
+        conn.send(("ok", None))
         while True:
             command, payload = conn.recv()
-            if command == "run":
-                barrier, inbound = payload
-                outbox, busy = host.run_window(barrier, inbound)
-                conn.send(("window", (outbox, busy)))
-            elif command == "finalize":
-                conn.send(("result", host.finalize()))
+            conn.send(("ok", host.handle(command, payload)))
+            if command == "finalize":
                 return
-            else:
-                raise SimulationError(f"unknown shard command {command!r}")
     except Exception:
         import traceback
 
@@ -378,6 +372,57 @@ def shard_worker(conn, build_fn: BuildFn, build_args: dict, shard_index: int,
             pass
     finally:
         conn.close()
+
+
+class WorkerHost:
+    """The coordinator's end of one shard hosted in a worker process."""
+
+    def __init__(self, ctx, build_fn: BuildFn, build_args: dict,
+                 shard_index: int, n_shards: int, members: list):
+        self.shard_index = shard_index
+        self.command = None
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=shard_worker,
+            args=(child, build_fn, build_args, shard_index, n_shards,
+                  members),
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+
+    def send(self, command: str, payload=None) -> None:
+        self.command = command
+        try:
+            self.conn.send((command, payload))
+        except (BrokenPipeError, ConnectionResetError):
+            self._died()
+
+    def recv(self):
+        try:
+            tag, payload = self.conn.recv()
+        except (EOFError, ConnectionResetError):
+            self._died()
+        if tag == "error":
+            raise SimulationError(
+                f"shard {self.shard_index} worker failed:\n{payload}")
+        return payload
+
+    def _died(self):
+        self.process.join(timeout=WORKER_JOIN_SEC)
+        raise SimulationError(
+            f"shard {self.shard_index} worker exited without replying "
+            f"(exit code {self.process.exitcode})")
+
+    def close(self) -> None:
+        """Reap the worker: after ``finalize`` it exits on its own; one
+        cut off mid-run (a failed run) is terminated."""
+        self.conn.close()
+        if self.command == "finalize":
+            self.process.join(timeout=WORKER_JOIN_SEC)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
 
 
 # ---------------------------------------------------------------------------
@@ -409,114 +454,60 @@ class ShardedRun:
         return "\n".join(self.trace_lines).encode("utf-8")
 
 
-def _expect(conn, kind: str):
-    tag, payload = conn.recv()
-    if tag == "error":
-        raise SimulationError(f"shard worker failed:\n{payload}")
-    if tag != kind:
-        raise SimulationError(f"expected {kind!r} from worker, got {tag!r}")
-    return payload
-
-
 def _mp_context():
     # fork keeps worker startup cheap and build_fn flexible; fall back to
     # the platform default (spawn) where fork is unavailable.
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if fork else None)
 
 
 def run_sharded(build_fn: BuildFn, build_args: dict, plan: ShardPlan,
-                horizon: float, window: float, *,
-                processes: bool = False) -> ShardedRun:
+                horizon: float, window: float) -> ShardedRun:
     """Run one fleet partitioned per ``plan`` to ``horizon``.
 
-    ``processes=False`` runs every shard in this process, shard-by-shard
-    (the reference execution); ``processes=True`` hosts each shard in a
-    forked worker and overlaps their windows.  Both produce the same
-    merged result, byte for byte.
+    One shard runs in this process; more than one run in forked worker
+    processes whose windows overlap.  Every shard count produces the
+    same merged result, byte for byte.
     """
     n_shards = plan.n_shards
-    members_by_shard = [plan.members_of(shard) for shard in range(n_shards)]
     barriers = barrier_schedule(horizon, window)
     timing = BarrierTiming(n_shards)
     inbound: list = [[] for _ in range(n_shards)]
     unroutable = 0
     wall_started = perf_counter()
-
-    if processes and n_shards > 1:
-        ctx = _mp_context()
-        pipes = []
-        workers = []
-        try:
+    hosts: list = []
+    try:
+        if n_shards == 1:
+            hosts.append(ShardHost(build_fn, build_args, 0, 1,
+                                   plan.members_of(0)))
+        else:
+            ctx = _mp_context()
             for shard in range(n_shards):
-                parent, child = ctx.Pipe()
-                worker = ctx.Process(
-                    target=shard_worker,
-                    args=(child, build_fn, build_args, shard, n_shards,
-                          members_by_shard[shard]),
-                    daemon=True,
-                )
-                worker.start()
-                child.close()
-                pipes.append(parent)
-                workers.append(worker)
-            for parent in pipes:
-                _expect(parent, "ready")
-            for barrier in barriers:
-                window_started = perf_counter()
-                for shard, parent in enumerate(pipes):
-                    parent.send(("run", (barrier, inbound[shard])))
-                outboxes = []
-                busies = []
-                for parent in pipes:
-                    outbox, busy = _expect(parent, "window")
-                    outboxes.append(outbox)
-                    busies.append(busy)
-                timing.add_window(busies, perf_counter() - window_started)
-                inbound, dropped = route_batches(outboxes, plan.assignment,
-                                                 n_shards)
-                unroutable += dropped
-            results = []
-            for parent in pipes:
-                parent.send(("finalize", None))
-            for parent in pipes:
-                results.append(_expect(parent, "result"))
-            for worker in workers:
-                worker.join(timeout=30.0)
-        finally:
-            for worker in workers:
-                if worker.is_alive():
-                    worker.terminate()
-            for parent in pipes:
-                parent.close()
-        mode = "processes"
-    else:
-        hosts = [ShardHost(build_fn, build_args, shard, n_shards,
-                           members_by_shard[shard])
-                 for shard in range(n_shards)]
+                hosts.append(WorkerHost(ctx, build_fn, build_args, shard,
+                                        n_shards, plan.members_of(shard)))
+            for host in hosts:
+                host.recv()  # built and ready
         for barrier in barriers:
             window_started = perf_counter()
-            outboxes = []
-            busies = []
             for shard, host in enumerate(hosts):
-                outbox, busy = host.run_window(barrier, inbound[shard])
-                outboxes.append(outbox)
-                busies.append(busy)
-            timing.add_window(busies, perf_counter() - window_started)
-            inbound, dropped = route_batches(outboxes, plan.assignment,
-                                             n_shards)
+                host.send("run", (barrier, inbound[shard]))
+            replies = [host.recv() for host in hosts]
+            timing.add_window([busy for _, busy in replies],
+                              perf_counter() - window_started)
+            inbound, dropped = route_batches(
+                [outbox for outbox, _ in replies], plan.assignment, n_shards)
             unroutable += dropped
-        results = [host.finalize() for host in hosts]
-        mode = "inprocess"
+        for host in hosts:
+            host.send("finalize")
+        results = [host.recv() for host in hosts]
+    finally:
+        for host in hosts:
+            host.close()
 
     wall = perf_counter() - wall_started
-    results.sort(key=lambda result: result.shard_index)
     lines = merge_trace(results)
     events = sum(result.events_processed for result in results)
     perf = {
-        "mode": mode,
         "shards": n_shards,
         "windows": len(barriers),
         "events": events,
@@ -536,3 +527,130 @@ def run_sharded(build_fn: BuildFn, build_args: dict, plan: ShardPlan,
         timing=timing,
         perf=perf,
     )
+
+
+# ---------------------------------------------------------------------------
+# The fleet scaffold
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FleetSpec:
+    """The fields and checks every sharded fleet spec shares.
+
+    Models subclass it (frozen, picklable) and may restate a default.
+    The coordinator ships one spec to every shard, and equal specs must
+    produce byte-identical merged runs for every shard count.
+    """
+
+    seed: int = 0
+    n_devices: int = 24
+    horizon: float = 48.0
+    window: float = 4.0
+    tick_interval: float = 1.0
+
+    def validate(self) -> None:
+        if self.n_devices < 4:
+            raise ConfigurationError("need at least 4 devices")
+        if self.window <= 0 or self.horizon <= 0 or self.tick_interval <= 0:
+            raise ConfigurationError("times must be positive")
+
+
+class FleetShardBase:
+    """One shard's slice of a ``dev-*`` fleet: the model-free half.
+
+    Builds the shard's simulator and router from the master seed, hosts
+    the ``dev-*`` members (``global_index`` is the fleet-wide index in
+    each name), routes every device's messages to the model's
+    ``on_device_message(name, message)`` and runs its ``tick()`` every
+    ``tick_interval``.  A model subclass adds its state and pinned
+    actors after ``super().__init__``, may fill ``audit`` and ``spans``,
+    and reports through ``summary()`` and :meth:`extra_metrics`.
+    """
+
+    def __init__(self, shard_index: int, n_shards: int, members: list,
+                 spec: FleetSpec):
+        spec.validate()
+        self.spec = spec
+        self.shard_index = shard_index
+        self.n_shards = n_shards
+        self.sim = Simulator(seed=spec.seed)
+        self.router = ShardRouter(self.sim, seed=spec.seed,
+                                  window=spec.window)
+        self.devices = sorted(m for m in members if m.startswith("dev-"))
+        self.global_index = {name: int(name.split("-", 1)[1])
+                             for name in self.devices}
+        #: canonical audit rows and deterministic span dicts (ShardResult).
+        self.audit: list = []
+        self.spans: list = []
+        for name in self.devices:
+            self.router.register(name, self._device_handler(name))
+        self.sim.every(spec.tick_interval, self.tick, label="fleet:tick")
+
+    def _device_handler(self, name: str):
+        return lambda message: self.on_device_message(name, message)
+
+    def extra_metrics(self) -> dict:
+        return {}
+
+    def finalize(self) -> ShardResult:
+        summary = self.summary()
+        trace = [
+            (event.time, event.subject,
+             f"{event.time!r} {event.kind} {event.subject} "
+             f"{json.dumps(event.detail, sort_keys=True)}")
+            for event in self.sim.trace.events
+        ]
+        metrics = {
+            "net.shard.sent": self.router._m_sent.value,
+            "net.shard.delivered": self.router._m_delivered.value,
+            **self.extra_metrics(),
+        }
+        return ShardResult(
+            shard_index=self.shard_index, trace=trace, summary=summary,
+            audit=list(self.audit), spans=list(self.spans), metrics=metrics,
+            events_processed=self.sim.events_processed,
+        )
+
+
+def build_fleet_shard(shard_index: int, n_shards: int, members: list,
+                      build_args: dict) -> FleetShardBase:
+    """Module-level (picklable) build function for :func:`run_sharded`."""
+    return build_args["shard_cls"](shard_index, n_shards, members,
+                                   build_args["spec"])
+
+
+class FleetScenario:
+    """The user-facing wrapper: spec + shard count -> merged run.
+
+    A model names its ``spec_cls`` and ``shard_cls``, its ``members``
+    (and optional ``edges``) functions of the spec, and its two
+    ``pinned`` actors: the first lives on shard 0, the second on the
+    last shard.
+    """
+
+    spec_cls: type = FleetSpec
+    shard_cls: type = FleetShardBase
+    pinned: tuple = ()
+
+    def __init__(self, n_shards: int = 1, **spec_kwargs):
+        self.spec = self.spec_cls(**spec_kwargs)
+        self.spec.validate()
+        if n_shards < 1:
+            raise ConfigurationError("n_shards must be >= 1")
+        self.n_shards = n_shards
+
+    @staticmethod
+    def edges(spec) -> list:
+        return []
+
+    def plan(self) -> ShardPlan:
+        pins = dict(zip(self.pinned, (0, self.n_shards - 1)))
+        return ShardPlan.build(self.members(self.spec), self.n_shards,
+                               edges=self.edges(self.spec), pins=pins)
+
+    def run(self) -> ShardedRun:
+        return run_sharded(build_fleet_shard,
+                           {"shard_cls": self.shard_cls, "spec": self.spec},
+                           self.plan(), horizon=self.spec.horizon,
+                           window=self.spec.window)

@@ -2,18 +2,22 @@
 
 One :class:`~repro.scenarios.sharded.ShardedFleetSpec` must produce a
 byte-identical merged run no matter how the fleet is partitioned
-(``n_shards`` in {1, 2, 4, 7}), whether shards run in-process or in
-worker processes, and whether the per-tick evaluation is vectorized or
+(``n_shards`` in {1, 2, 4, 7}; every count above one runs its shards in
+worker processes) and whether the per-tick evaluation is vectorized or
 scalar.  On top of that invariance ride the interop claims: signed kill
 orders keep ``healthy_killed`` at zero while the unsigned arm shows the
 counterfactual (E21), and worm span contexts stitch across shard
 boundaries (E19).
 """
 
+import multiprocessing
+import os
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios.sharded import (
+    FleetShard,
     ShardedFleetSpec,
     ShardedScenario,
     device_name,
@@ -30,11 +34,10 @@ SPEC = dict(seed=11, n_devices=96, horizon=40.0, window=4.0,
 _runs: dict = {}
 
 
-def run_cached(n_shards=1, processes=False, **overrides):
-    key = (n_shards, processes, tuple(sorted({**SPEC, **overrides}.items())))
+def run_cached(n_shards=1, **overrides):
+    key = (n_shards, tuple(sorted({**SPEC, **overrides}.items())))
     if key not in _runs:
-        scenario = ShardedScenario(n_shards=n_shards, processes=processes,
-                                   **{**SPEC, **overrides})
+        scenario = ShardedScenario(n_shards=n_shards, **{**SPEC, **overrides})
         _runs[key] = scenario.run()
     return _runs[key]
 
@@ -68,15 +71,6 @@ def test_sharded_trace_is_byte_identical_to_serial(n_shards):
     assert sharded.summary == serial.summary
     assert sharded.spans == serial.spans
     assert sharded.perf["shards"] == n_shards
-
-
-def test_process_mode_matches_in_process():
-    inproc = run_cached(n_shards=2)
-    procs = run_cached(n_shards=2, processes=True)
-    assert procs.trace_digest == inproc.trace_digest
-    assert procs.audit_digest == inproc.audit_digest
-    assert procs.summary == inproc.summary
-    assert procs.perf["mode"] == "processes"
 
 
 def test_scalar_twin_is_byte_identical_to_vectorized():
@@ -158,3 +152,33 @@ def test_spec_validation():
         ShardedScenario(n_devices=2)
     with pytest.raises(ConfigurationError):
         ShardedScenario(spread_prob=1.5)
+    with pytest.raises(ConfigurationError):
+        ShardedScenario(report_every=0)
+    with pytest.raises(ConfigurationError):
+        ShardedScenario(spread_every=0)
+
+
+# -- a worker that dies mid-run ------------------------------------------------
+
+
+class DyingShard(FleetShard):
+    """Shard 1's worker exits mid-window without replying, as a crash or
+    an OOM kill would."""
+
+    def tick(self) -> None:
+        if self.shard_index == 1 and self.sim.now >= 8.0:
+            os._exit(3)
+        super().tick()
+
+
+class DyingScenario(ShardedScenario):
+    shard_cls = DyingShard
+
+
+def test_dead_worker_names_its_shard_and_exit_code():
+    before = set(multiprocessing.active_children())
+    with pytest.raises(SimulationError,
+                       match=r"shard 1 worker exited .*exit code 3"):
+        DyingScenario(n_shards=3, **SPEC).run()
+    # The surviving workers were terminated and reaped, not leaked.
+    assert set(multiprocessing.active_children()) <= before

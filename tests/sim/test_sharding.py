@@ -21,7 +21,6 @@ from repro.sim.sharding import (
     cut_edges,
     merge_summaries,
     merge_trace,
-    partition_crc,
     partition_graph,
     route_batches,
 )
@@ -46,21 +45,12 @@ def test_partition_graph_is_deterministic_and_balanced():
 
 
 def test_partition_graph_beats_crc_on_community_topology():
-    # Contiguous communities chained in a ring: BFS growth should cut far
-    # fewer edges than hashing members uniformly.
+    # Contiguous communities chained in a ring: BFS growth keeps each
+    # shard a contiguous arc, so only a handful of the 64 edges cross a
+    # boundary (a uniform hash of the members would cut about 3/4).
     members, edges = ring(64)
     graph = partition_graph(members, edges, 4)
-    crc = partition_crc(members, 4)
-    assert cut_edges(graph, edges) < cut_edges(crc, edges)
     assert cut_edges(graph, edges) <= 8
-
-
-def test_partition_crc_assigns_every_member_stably():
-    members, _ = ring(20)
-    a = partition_crc(members, 3, salt=7)
-    assert set(a) == set(members)
-    assert a == partition_crc(members, 3, salt=7)
-    assert a != partition_crc(members, 3, salt=8)  # salt reshuffles
 
 
 def test_shard_plan_pins_and_members():
@@ -74,8 +64,6 @@ def test_shard_plan_pins_and_members():
         ShardPlan.build(members, 3, pins={"watchdog": 5})
     with pytest.raises(ConfigurationError):
         ShardPlan.build(members, 0)
-    with pytest.raises(ConfigurationError):
-        ShardPlan.build(members, 2, strategy="magic")
 
 
 # -- barrier schedule and routing ----------------------------------------------
