@@ -15,6 +15,13 @@ tail), re-verifies the recovered chain, and — when entries were lost
 (journal-less operation, an unflushed buffer, or a torn/corrupted tail)
 — appends an explicit ``audit.gap`` marker so the resumed chain *admits*
 the hole instead of papering over it.
+
+Cost model: an append encodes its entry once.  ``detail`` — the only
+field that needs the JSON encoder — goes through one ``json.dumps``; the
+scalar fields are spelled exactly as ``json.dumps`` would spell them.
+That text is the hash body (one SHA-256), and the journal frames the
+same text with ``hash`` and ``seq`` spliced in, so the bytes on stable
+storage are those a second full encode of the entry would produce.
 """
 
 from __future__ import annotations
@@ -22,9 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from repro.errors import AuditError
+from repro.store.journal import EncodedRecord
 
 _GENESIS = "0" * 64
 
@@ -32,9 +41,49 @@ _GENESIS = "0" * 64
 GAP_KIND = "audit.gap"
 
 
-def _canonical(payload: dict) -> str:
-    """Deterministic JSON for hashing (sorted keys, no whitespace drift)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+_INF = float("inf")
+
+
+def _canonical(value) -> str:
+    """Deterministic JSON (sorted keys, no whitespace drift)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
+
+
+def _scalar(value) -> str:
+    """``_canonical(value)`` for the scalar fields of an entry, written
+    directly: ``json.dumps`` spells a ``str`` with
+    ``encode_basestring_ascii``, a float with ``float.__repr__`` (or
+    ``NaN``/``Infinity``) and an int with ``int.__repr__``.  Any other
+    type goes through the encoder itself."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _canonical(value)
+
+
+def _encode(index, time, kind, subject, detail, prev_hash) -> tuple[str, str, str]:
+    """An entry's canonical JSON, cut where the journal adds members.
+
+    ``head + middle + tail`` is the hash body: the sorted-key JSON of
+    ``detail, index, kind, prev, subject, time``.  The journal frame is
+    the same text with ``"hash"`` after ``head`` and ``"seq"`` before
+    ``tail`` — exactly where sorted keys put them — so ``detail``, the
+    only field that needs the encoder, is encoded once per entry.
+    """
+    return ('{"detail":' + _canonical(detail),
+            f',"index":{_scalar(index)},"kind":{_scalar(kind)}'
+            f',"prev":{_scalar(prev_hash)}',
+            f',"subject":{_scalar(subject)},"time":{_scalar(time)}}}')
 
 
 @dataclass(frozen=True)
@@ -50,12 +99,8 @@ class AuditEntry:
     entry_hash: str
 
     @staticmethod
-    def compute_hash(index: int, time: float, kind: str, subject: str,
-                     detail: dict, prev_hash: str) -> str:
-        body = _canonical({
-            "index": index, "time": time, "kind": kind,
-            "subject": subject, "detail": detail, "prev": prev_hash,
-        })
+    def compute_hash(body: str) -> str:
+        """SHA-256 of a hash body built by ``_encode``."""
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
     def to_payload(self) -> dict:
@@ -116,14 +161,16 @@ class AuditLog:
         detail = dict(detail or {})
         index = len(self._entries)
         prev_hash = self._entries[-1].entry_hash if self._entries else _GENESIS
-        entry_hash = AuditEntry.compute_hash(index, time, kind, subject,
-                                             detail, prev_hash)
+        head, middle, tail = _encode(index, time, kind, subject, detail,
+                                     prev_hash)
+        entry_hash = AuditEntry.compute_hash(head + middle + tail)
         entry = AuditEntry(index=index, time=time, kind=kind, subject=subject,
                            detail=detail, prev_hash=prev_hash,
                            entry_hash=entry_hash)
         self._entries.append(entry)
         if self._journal is not None:
-            self._journal.append(entry.to_payload())
+            self._journal.append(EncodedRecord(
+                f'{head},"hash":"{entry_hash}"{middle},', tail))
         return entry
 
     def entries(self, kind_prefix: str = "", subject: Optional[str] = None) -> list[AuditEntry]:
@@ -154,10 +201,9 @@ class AuditLog:
                 )
             if entry.prev_hash != prev_hash:
                 raise AuditError(f"audit chain broken before entry {position}")
-            expected = AuditEntry.compute_hash(
+            expected = AuditEntry.compute_hash("".join(_encode(
                 entry.index, entry.time, entry.kind, entry.subject,
-                entry.detail, entry.prev_hash,
-            )
+                entry.detail, entry.prev_hash)))
             if expected != entry.entry_hash:
                 raise AuditError(f"audit entry {position} content was altered")
             prev_hash = entry.entry_hash
@@ -209,9 +255,12 @@ class AuditLog:
         edited payload with a recomputed CRC — still breaks the hash
         chain and raises :class:`AuditError`), and appends an explicit
         ``audit.gap`` entry when the recovered chain is shorter than the
-        pre-crash one.  The hash chain then *resumes from the recovered
-        head*: new entries link to the last surviving hash.
+        pre-crash one — or, for a log that did not crash, than the chain
+        it held in memory, whose unflushed tail recovery discards.  The
+        hash chain then *resumes from the recovered head*: new entries
+        link to the last surviving hash.
         """
+        before = self._lost_at_crash if self._crashed else len(self._entries)
         recovered: list[AuditEntry] = []
         torn = False
         if self._journal is not None:
@@ -226,7 +275,7 @@ class AuditLog:
         self._entries = list(recovered)
         self._crashed = False
         self.verify()
-        lost = max(0, self._lost_at_crash - replayed)
+        lost = max(0, before - replayed)
         self._lost_at_crash = 0
         gap = lost > 0 or torn
         if gap:

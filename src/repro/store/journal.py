@@ -24,9 +24,14 @@ full-history walk.
 
 Durability is per-append by default (``flush_every=1``).  A larger
 ``flush_every`` batches frames in volatile memory — faster, but a crash
-discards the unflushed tail (:meth:`drop_volatile` models exactly that),
-which is how "journaled" and "lost in the crash" can differ even for a
-journal-backed component.
+discards the unflushed tail (:meth:`drop_volatile` models exactly that,
+and :meth:`recover` drops it too), which is how "journaled" and "lost in
+the crash" can differ even for a journal-backed component.
+
+Cost model: :meth:`Journal.append` encodes a dict payload once.  A
+producer that already holds its record's canonical text (the audit log,
+which hashes it) passes an :class:`EncodedRecord` instead; the journal
+splices ``seq`` in and frames the same bytes without encoding again.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 from repro.errors import StorageError
 from repro.store.stable import StableStorage
@@ -52,9 +57,24 @@ def _encode(payload: dict) -> bytes:
                       default=str).encode("utf-8")
 
 
-def _frame(payload: dict) -> bytes:
-    body = _encode(payload)
+def _frame(body: bytes) -> bytes:
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+class EncodedRecord(NamedTuple):
+    """A payload its producer already encoded as canonical JSON.
+
+    The text is cut where the journal's ``"seq"`` member belongs in
+    sorted-key order: ``prefix`` runs up to it (ending in ``{`` or
+    ``,``) and ``suffix`` picks up after it, so the framed bytes are the
+    ones ``_encode({"seq": seq, **payload})`` would have produced.
+    """
+
+    prefix: str
+    suffix: str
+
+    def body(self, seq: int) -> bytes:
+        return f'{self.prefix}"seq":{seq}{self.suffix}'.encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -112,16 +132,22 @@ class Journal:
 
     # -- writing ---------------------------------------------------------------
 
-    def append(self, payload: dict) -> int:
+    def append(self, payload: Union[dict, EncodedRecord]) -> int:
         """Frame ``payload`` and stage it; returns its sequence number.
 
-        The frame reaches stable storage immediately when ``flush_every``
-        is 1 (the default), otherwise when the buffer fills or
-        :meth:`flush` is called.
+        A dict is encoded here; an :class:`EncodedRecord` is framed as
+        is, with its sequence number spliced in.  The frame reaches
+        stable storage immediately when ``flush_every`` is 1 (the
+        default), otherwise when the buffer fills or :meth:`flush` is
+        called.
         """
         seq = self._next_seq
         self._next_seq += 1
-        self._buffer.append(_frame({"seq": seq, **payload}))
+        if isinstance(payload, EncodedRecord):
+            body = payload.body(seq)
+        else:
+            body = _encode({"seq": seq, **payload})
+        self._buffer.append(_frame(body))
         if len(self._buffer) >= self.flush_every:
             self.flush()
         tracer = self.tracer
@@ -165,12 +191,13 @@ class Journal:
         self.flush()
         upto = self._next_seq - 1 if seq is None else seq
         self.storage.write(self.name + SNAPSHOT_SUFFIX,
-                           _frame({"seq": upto, "state": state}))
+                           _frame(_encode({"seq": upto, "state": state})))
         keep = [record
                 for record in self._scan(self._blob_first_seq)[0]
                 if record.seq > upto]
         self.storage.write(self.name,
-                           b"".join(_frame({"seq": record.seq, **record.payload})
+                           b"".join(_frame(_encode({"seq": record.seq,
+                                                    **record.payload}))
                                     for record in keep))
         self._flushed_records = len(keep)
         self.snapshot_seq = upto
@@ -261,7 +288,10 @@ class Journal:
         Also realigns the journal's own accounting with the recovered
         reality — the next sequence number continues from the last
         trustworthy frame, so an append after a torn-tail truncation
-        never leaves a sequence gap the next replay would distrust.
+        never leaves a sequence gap the next replay would distrust.  The
+        unflushed buffer is discarded (as a crash would): its frames
+        carry sequence numbers past the recovered tail, and flushing
+        them behind later appends would hand the same numbers out twice.
 
         A journal that already knows where its blob starts (it wrote or
         previously recovered it) additionally anchors the scan there, so
@@ -274,6 +304,7 @@ class Journal:
         the gap *visible* to the consumer instead of silently
         resequenced.
         """
+        self._buffer.clear()
         snapshot = self._read_snapshot()
         snap_seq = int(snapshot.get("seq", 0)) if snapshot is not None else None
         expected_first = self._blob_first_seq

@@ -143,6 +143,17 @@ def test_journal_less_log_loses_everything_but_reports_it():
     assert log.verify()
 
 
+def test_recovery_without_a_crash_admits_the_discarded_unflushed_tail():
+    storage, log = journaled_log(flush_every=3)
+    log.append(0.0, "decision", "d0")
+    log.append(1.0, "decision", "d0")             # both still buffered
+    recovery = log.recover()
+    assert recovery == {"replayed": 0, "lost": 2, "gap": True}
+    (gap,) = log.gap_entries()
+    assert gap.detail["lost_entries"] == 2
+    assert log.verify()
+
+
 def test_durable_entries_tracks_flush_state():
     storage, log = journaled_log(flush_every=2)
     assert log.durable_entries() == 0

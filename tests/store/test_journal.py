@@ -137,6 +137,20 @@ def test_append_after_torn_recovery_leaves_no_sequence_gap():
     assert not report.truncated and not report.corrupt_frame
 
 
+def test_recovery_discards_the_buffer_so_sequence_numbers_stay_unique():
+    storage = StableStorage()
+    journal = Journal(storage, "a", flush_every=3)
+    journal.append({"n": 0})
+    journal.append({"n": 1})                       # both still buffered
+    journal.recover()
+    assert journal.unflushed == 0
+    assert journal.append({"n": 2}) == 1
+    journal.flush()
+    records, report = journal._scan()
+    assert [(record.seq, record.payload["n"]) for record in records] == [(1, 2)]
+    assert not report.truncated and not report.corrupt_frame
+
+
 def test_front_damage_cannot_resequence_later_appends_as_a_suffix():
     """A live journal anchors recovery at the blob's known first frame:
     when damage erases the *front* of the run, a frame appended later at
