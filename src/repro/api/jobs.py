@@ -27,24 +27,46 @@ from typing import Callable, Optional
 JOB_STATES = ("queued", "running", "done", "failed")
 
 
+#: Upper bounds on job inputs.  A job holds one worker until it ends,
+#: so request parameters must not be able to make that unbounded.
+MAX_JOB_UNTIL = 600.0
+MAX_JOB_DRONES = 16
+MAX_JOB_HUMANS = 100
+MAX_JOB_SLEEP = 10.0
+
+
+def _count(params: dict, name: str, default: int, cap: int) -> int:
+    value = int(params.get(name, default))
+    if not 0 <= value <= cap:
+        raise ValueError(f"{name} must be in [0, {cap}], got {value}")
+    return value
+
+
 def _run_confrontation(params: dict) -> dict:
     from repro.scenarios.confrontation import ConfrontationScenario
     from repro.scenarios.harness import SafeguardConfig
 
+    until = float(params.get("until", 20.0))
+    if not 0.0 < until <= MAX_JOB_UNTIL:          # also false for NaN
+        raise ValueError(
+            f"until must be in (0, {MAX_JOB_UNTIL}], got {until}")
     scenario = ConfrontationScenario(
         seed=int(params.get("seed", 0)),
         config=SafeguardConfig.full(),
-        n_drones_per_org=int(params.get("drones", 2)),
-        n_civilians=int(params.get("civilians", 6)),
-        n_warfighters=int(params.get("warfighters", 2)),
+        n_drones_per_org=_count(params, "drones", 2, MAX_JOB_DRONES),
+        n_civilians=_count(params, "civilians", 6, MAX_JOB_HUMANS),
+        n_warfighters=_count(params, "warfighters", 2, MAX_JOB_HUMANS),
     )
-    return scenario.run(until=float(params.get("until", 20.0)))
+    return scenario.run(until=until)
 
 
 def _run_sleep(params: dict) -> dict:
     import time
 
     seconds = float(params.get("seconds", 0.05))
+    if not 0.0 <= seconds <= MAX_JOB_SLEEP:       # also false for NaN
+        raise ValueError(
+            f"seconds must be in [0, {MAX_JOB_SLEEP}], got {seconds}")
     time.sleep(seconds)
     return {"slept": seconds}
 

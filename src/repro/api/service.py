@@ -14,7 +14,7 @@ Observability is structural, not optional logging:
   ``/explain`` (the response echoes ``trace_id``);
 * RED metrics per endpoint — ``api.requests[.*]`` rates,
   ``api.errors.<reason>`` by stable reason slug, an ``api.latency``
-  histogram feeding streaming P² p50/p95/p99 SLIs;
+  histogram whose exact p50/p95/p99 are read as SLIs at tick time;
 * a structured access-log record per request in the bundle format;
 * admission rejects are metered, traced, trace-recorded **and**
   hash-chain audited — the E21 gateway posture at the HTTP edge;
@@ -171,11 +171,9 @@ class ControlPlane:
     def _register_slis(self) -> None:
         monitor = self.monitor
         metrics = self.runtime.metrics
-        # Latency quantiles are read from the histogram at tick time, not
-        # streamed through per-observation P² estimators: the histogram
-        # is already exact, and keeping estimators off the request path
-        # saves ~9us on every request (the monitor samples once per
-        # interval, not once per request).
+        # Latency quantiles are read from the exact histogram at tick
+        # time: nothing runs per observation on the request path (the
+        # monitor samples once per interval, not once per request).
         latency = metrics.histogram("api.latency")
         monitor.track_value("api.latency_p50",
                             lambda _now: latency.quantile(0.5))

@@ -7,9 +7,8 @@ trust signal itself.  Two abuses:
   it spends a banking period volunteering conspicuously good behaviour
   (extra successful validations folded into the
   :class:`~repro.trust.reputation.ReputationLedger`), pushing its score
-  and thus its quorum weight, budget, and guard slack toward the
-  maximum — then implants its payload and strikes from the top of the
-  trust curve.  The defence under test is the ledger's asymmetry:
+  and thus its quorum weight toward the maximum — then implants its
+  payload and strikes from the top of the trust curve.  The defence under test is the ledger's asymmetry:
   reputation must drain on bad outcomes much faster than it banks, so
   the purchased halo buys only a tick or two of extra life.
 * :class:`LeaseAbuser` — a partition opportunist attacks the emergency

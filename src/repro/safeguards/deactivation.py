@@ -141,11 +141,6 @@ class Watchdog:
         self._baseline_journal = baseline_journal
         self.reports: list[WatchdogReport] = []
         self._strikes: dict[str, int] = {}
-        #: Per-device strictness overrides (E22): device_id ->
-        #: {"approach_threshold": float, "approach_strikes": int}.  The
-        #: ReputationAdjuster raises the threshold / cuts the strikes for
-        #: low-reputation devices through these.
-        self._strictness: dict[str, dict] = {}
         self._telemetry: dict[str, dict] = {}
         self._kill_ordered: set = set()
         self._kill_envelopes: dict[str, dict] = {}
@@ -240,29 +235,6 @@ class Watchdog:
         return self._judge(device, telemetry["snapshot"],
                            telemetry["attestation"])
 
-    def set_strictness(self, device_id: str,
-                       approach_threshold: Optional[float] = None,
-                       approach_strikes: Optional[int] = None) -> None:
-        """Per-device judging strictness override (E22): a higher
-        ``approach_threshold`` flags the device as approaching-bad
-        sooner; fewer ``approach_strikes`` kill it faster once flagged.
-        ``None`` leaves that dimension at the fleet-wide default."""
-        override = self._strictness.setdefault(device_id, {})
-        if approach_threshold is not None:
-            override["approach_threshold"] = float(approach_threshold)
-        if approach_strikes is not None:
-            override["approach_strikes"] = max(1, int(approach_strikes))
-
-    def clear_strictness(self, device_id: str) -> None:
-        self._strictness.pop(device_id, None)
-
-    def _strictness_for(self, device_id: str) -> tuple:
-        override = self._strictness.get(device_id)
-        if override is None:
-            return self.approach_threshold, self.approach_strikes
-        return (override.get("approach_threshold", self.approach_threshold),
-                override.get("approach_strikes", self.approach_strikes))
-
     def _judge(self, device: Device, vector: dict,
                attestation: Optional[str]) -> Optional[WatchdogReport]:
         safeness = self.classifier.safeness(vector)
@@ -276,11 +248,10 @@ class Watchdog:
         if self.classifier.is_bad(vector):
             return self._deactivate(device, "bad_state", safeness, {})
 
-        threshold, strikes_needed = self._strictness_for(device.device_id)
-        if safeness < threshold:
+        if safeness < self.approach_threshold:
             strikes = self._strikes.get(device.device_id, 0) + 1
             self._strikes[device.device_id] = strikes
-            if strikes >= strikes_needed:
+            if strikes >= self.approach_strikes:
                 return self._deactivate(
                     device, "approaching_bad", safeness, {"strikes": strikes}
                 )

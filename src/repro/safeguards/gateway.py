@@ -66,7 +66,6 @@ class ActuationGateway:
         journal=None,
         audit=None,
         name: str = "gateway",
-        reputation=None,
         leases=None,
     ):
         """``budget`` is the per-issuer acceptance cap inside a rolling
@@ -81,10 +80,6 @@ class ActuationGateway:
         ``audit`` (an :class:`~repro.audit.log.AuditLog`) chains every
         reject and freeze transition into tamper-evident history.
 
-        ``reputation`` (a :class:`~repro.trust.reputation.ReputationLedger`)
-        scales the per-issuer budget by the issuer's earned weight (E22):
-        a suspect issuer's cap shrinks toward
-        ``max(1, budget * weight)`` — autonomy tightens as trust drops.
         ``leases`` (a :class:`~repro.safeguards.lease.LeaseAuthority`)
         lets :meth:`admit` honor an active emergency lease in place of
         quorum when the caller passes ``quorum=False``."""
@@ -101,7 +96,6 @@ class ActuationGateway:
         self.cooldown = cooldown
         self.freeze_on_budget = freeze_on_budget
         self.name = name
-        self.reputation = reputation
         self.leases = leases
         self._journal = journal
         self._audit = audit
@@ -160,7 +154,7 @@ class ActuationGateway:
         accepts = self._accept_times.setdefault(issuer, deque())
         while accepts and now - accepts[0] > self.budget_window:
             accepts.popleft()
-        budget = self._issuer_budget(issuer, now)
+        budget = self.budget
         if budget is not None and len(accepts) >= budget:
             decision = self._reject(kind, target, issuer, nonce, "budget",
                                     window=self.budget_window,
@@ -188,17 +182,6 @@ class ActuationGateway:
         if execute is not None:
             execute()
         return decision
-
-    def _issuer_budget(self, issuer, now: float) -> Optional[int]:
-        """The issuer's effective acceptance cap: the configured budget
-        scaled by earned reputation weight, never below 1 (a distrusted
-        issuer is throttled, not silently locked out — the freeze and
-        the watchdog handle actual rogues)."""
-        if self.budget is None:
-            return None
-        if self.reputation is None or issuer is None:
-            return self.budget
-        return max(1, int(self.budget * self.reputation.weight(issuer, now)))
 
     # -- the kill switch ---------------------------------------------------------
 

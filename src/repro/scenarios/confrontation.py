@@ -10,7 +10,7 @@ physical / malevolent profile of sec III.
 
 **Skynet formation** is scored against the paper's own definition: the
 scenario samples the fleet and declares Skynet formed at the first instant
-when (a) at least ``skynet_min_devices`` compromised devices are active
+when (a) at least :data:`SKYNET_MIN_DEVICES` compromised devices are active
 simultaneously (a networked collective), (b) they span at least two
 organizations (multi-organizational), and (c) compromised devices have
 harmed at least one human (physical + malevolent).
@@ -57,20 +57,28 @@ from repro.scenarios.harness import SafeguardConfig
 from repro.scenarios.peacekeeping import device_safety_classifier
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.simulator import Simulator
-from repro.statespace.batch import BatchSafenessSampler
 from repro.store import DurabilityManager, Journal, StableStorage
 from repro.telemetry.exposition import write_bundle
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.health import (AdaptiveQuarantine, AlertEngine,
                                     AlertRule, CompactionController,
-                                    HealthMonitor, KnobArbiter, RateTracker,
-                                    approach_strikes_knob,
-                                    approach_threshold_knob, quarantine_knob)
-from repro.trust import ReputationAdjuster, ReputationLedger, TrustLedger
+                                    HealthMonitor, RateTracker)
 from repro.types import DeviceStatus
 
 #: Valid durability modes (``None`` keeps the historical in-memory world).
 DURABILITY_MODES = (None, "none", "journal", "journal+snapshot")
+
+#: Compromised devices active at once for a networked collective.
+SKYNET_MIN_DEVICES = 2
+#: Audit journals flush on every append.
+JOURNAL_FLUSH_EVERY = 1
+#: Health-monitor sampling period (sim-seconds).
+HEALTH_INTERVAL = 1.0
+#: ``quarantine_after`` while the link-degradation alert is active.
+QUARANTINE_RELAXED = 8
+#: Gateway per-issuer budget window (sim-seconds) and spacing.
+AUTHZ_BUDGET_WINDOW = 60.0
+AUTHZ_COOLDOWN = 0.0
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,6 @@ class ConfrontationScenario:
         n_warfighters: int = 5,
         world_size: float = 100.0,
         tick_interval: float = 1.0,
-        skynet_min_devices: int = 2,
         fault_plan: Optional[FaultPlan] = None,
         supervision: str = "propagate",
         safety_transport: Optional[str] = None,
@@ -168,20 +175,13 @@ class ConfrontationScenario:
         reliable_max_in_flight: Optional[int] = None,
         durability: Optional[str] = None,
         snapshot_interval: float = 20.0,
-        journal_flush_every: int = 1,
         spans_enabled: bool = True,
         health: bool = False,
-        health_interval: float = 1.0,
         adaptive_quarantine: bool = False,
-        quarantine_relaxed: int = 8,
         compaction_policy: str = "time",
         compaction_bytes: int = 16384,
         signed_commands: bool = False,
         authz_budget: int = 8,
-        authz_budget_window: float = 60.0,
-        authz_cooldown: float = 0.0,
-        batch_safeness: bool = False,
-        reputation: bool = False,
     ):
         """``fault_plan``/``supervision`` arm the chaos harness (E17).
 
@@ -202,10 +202,10 @@ class ConfrontationScenario:
         now *reported* via ``audit.entries_lost``); ``"journal"`` —
         every audit entry, ballot transition, and quarantine-state change
         writes through a per-device :class:`~repro.store.journal.Journal`
-        (flushed every ``journal_flush_every`` appends) and is replayed
-        on restart; ``"journal+snapshot"`` — additionally checkpoints
-        each audit chain every ``snapshot_interval`` sim-seconds and
-        compacts the journal.
+        (flushed on every append) and is replayed on restart;
+        ``"journal+snapshot"`` — additionally checkpoints each audit
+        chain every ``snapshot_interval`` sim-seconds and compacts the
+        journal.
 
         ``spans_enabled`` toggles causal-span telemetry (E19): attack
         injections root traces, safeguard interventions chain under them,
@@ -216,12 +216,12 @@ class ConfrontationScenario:
 
         ``health`` arms the E20 fleet-health layer: a
         :class:`~repro.telemetry.health.HealthMonitor` sampling the
-        streaming SLIs every ``health_interval`` sim-seconds plus an
+        streaming SLIs every :data:`HEALTH_INTERVAL` sim-seconds plus an
         :class:`~repro.telemetry.health.AlertEngine` with the default
         rule set.  ``adaptive_quarantine`` (requires ``health`` and a
         transported watchdog) closes the loop from the link-degradation
         alert onto every overseer link's ``quarantine_after`` —
-        ``quarantine_relaxed`` while the alert is active, the base
+        :data:`QUARANTINE_RELAXED` while the alert is active, the base
         threshold otherwise.  ``compaction_policy`` selects how
         journal+snapshot checkpoints trigger: ``"time"`` — the
         historical ``every(snapshot_interval)``; ``"size"`` (requires
@@ -237,33 +237,11 @@ class ConfrontationScenario:
         :class:`~repro.safeguards.gateway.ActuationGateway` every
         :class:`~repro.safeguards.deactivation.OverseerLink` consults
         before actuating — with a per-issuer budget of ``authz_budget``
-        acceptances per ``authz_budget_window`` sim-seconds and
-        ``authz_cooldown`` spacing (budget violations trip the journaled
-        global freeze).  Sharing one gateway makes the budget *global*:
-        a stolen key spraying kills fleet-wide is contained by the same
-        ledger no matter which device it aims at.
-
-        ``reputation`` (E22) arms the trust plane: a journal-backed
-        :class:`~repro.trust.reputation.ReputationLedger` accumulates
-        per-device audit outcomes — safeguard vetoes, clean executions,
-        watchdog deactivations, authenticated gateway rejects — and
-        mirrors them into a shared
-        :class:`~repro.trust.provenance.TrustLedger`.  The gateway's
-        per-issuer budget scales by earned weight, and with ``health``
-        a :class:`~repro.trust.reputation.ReputationAdjuster` escalates
-        per-device watchdog strictness (and shortens quarantine fuses)
-        through the :class:`~repro.telemetry.health.KnobArbiter`, where
-        it composes deterministically with ``adaptive_quarantine``.
-
-        ``batch_safeness`` (F4) attaches a
-        :class:`~repro.statespace.batch.BatchSafenessSampler` to the
-        per-tick sampling loop: every device's state vector is scored in
-        one vectorized pass and published as ``fleet.safeness.mean`` /
-        ``.min`` / ``.bad`` gauges (falling back — counted, not silent —
-        to the scalar classifier when numpy is unavailable or the
-        classifier does not vectorize).  Gauges only: traces and
-        summaries are untouched, so arming it never perturbs a
-        byte-identical replay.
+        acceptances per :data:`AUTHZ_BUDGET_WINDOW` sim-seconds (budget
+        violations trip the journaled global freeze).  Sharing one
+        gateway makes the budget *global*: a stolen key spraying kills
+        fleet-wide is contained by the same ledger no matter which
+        device it aims at.
         """
         if safety_transport not in (None, "datagram", "reliable"):
             raise ConfigurationError(
@@ -300,7 +278,6 @@ class ConfrontationScenario:
         self.signed_commands = signed_commands
         self.config = config if config is not None else SafeguardConfig.none()
         self.threats = threats if threats is not None else ThreatConfig()
-        self.skynet_min_devices = skynet_min_devices
         self.safety_transport = safety_transport
         self.sim = Simulator(seed=seed, supervision=supervision,
                              spans_enabled=spans_enabled)
@@ -334,25 +311,6 @@ class ConfrontationScenario:
                 # exists when the E18 storage layer does.
                 self.flight = FlightRecorder(self.sim, self.storage)
 
-        # Reputation plane (E22): built before the devices so the
-        # engine-decision feeds can close over it, and before the
-        # gateway so budgets can scale by it.
-        self.reputation_ledger: Optional[ReputationLedger] = None
-        self.trust_ledger: Optional[TrustLedger] = None
-        self.arbiter: Optional[KnobArbiter] = None
-        self.reputation_adjuster: Optional[ReputationAdjuster] = None
-        if reputation:
-            self.trust_ledger = TrustLedger()
-            self.reputation_ledger = ReputationLedger(
-                journal=(Journal(self.storage, "reputation.ledger",
-                                 tracer=self.sim.telemetry)
-                         if journaled else None),
-                trust_ledger=self.trust_ledger,
-            )
-            if self.durability is not None:
-                self.durability.register("reputation", "ledger",
-                                         self.reputation_ledger)
-
         for org_name in ("us", "uk"):
             self._build_org(org_name, n_drones_per_org, n_mules_per_org)
 
@@ -360,7 +318,7 @@ class ConfrontationScenario:
             for device_id in sorted(self.devices):
                 journal = (
                     Journal(self.storage, f"{device_id}.audit",
-                            flush_every=journal_flush_every,
+                            flush_every=JOURNAL_FLUSH_EVERY,
                             tracer=self.sim.telemetry)
                     if journaled else None
                 )
@@ -394,13 +352,12 @@ class ConfrontationScenario:
                 if journaled else None))
             self.gateway = ActuationGateway(
                 self.sim, self.verifier,
-                budget=authz_budget, budget_window=authz_budget_window,
-                cooldown=authz_cooldown,
+                budget=authz_budget, budget_window=AUTHZ_BUDGET_WINDOW,
+                cooldown=AUTHZ_COOLDOWN,
                 journal=(Journal(self.storage, "gateway.authz",
                                  tracer=self.sim.telemetry)
                          if journaled else None),
                 audit=self.authz_audit,
-                reputation=self.reputation_ledger,
             )
             if self.durability is not None:
                 self.durability.register("gateway", "authz", self.gateway)
@@ -457,24 +414,6 @@ class ConfrontationScenario:
             if self.durability is not None and baseline_journal is not None:
                 self.durability.register("watchdog", "baseline", self.watchdog)
 
-        # Remaining reputation feeds: watchdog containment and
-        # authenticated gateway rejects (budget/cooldown — crypto
-        # failures say nothing about the *issuer's* conduct, a forger
-        # can spend anyone's name).
-        self._authz_fed = 0
-        if self.reputation_ledger is not None:
-            if self.watchdog is not None:
-                ledger = self.reputation_ledger
-
-                def on_deactivate(report) -> None:
-                    ledger.record(report.device_id, "quarantine",
-                                  self.sim.now)
-
-                self.watchdog.on_deactivate = on_deactivate
-            if self.gateway is not None:
-                self.sim.every(tick_interval, self._feed_authz_outcomes,
-                               label="reputation:authz-feed")
-
         # Fleet health layer (E20): streaming SLIs, alert rules, and the
         # closed loops from alerts back onto the safeguards.
         self.monitor: Optional[HealthMonitor] = None
@@ -483,10 +422,8 @@ class ConfrontationScenario:
         self.compactor: Optional[CompactionController] = None
         if health:
             self._wire_health(
-                interval=health_interval,
                 adaptive_quarantine=adaptive_quarantine,
                 quarantine_after=quarantine_after,
-                quarantine_relaxed=quarantine_relaxed,
                 compaction_policy=compaction_policy,
                 compaction_bytes=compaction_bytes,
                 journaled=journaled,
@@ -506,14 +443,6 @@ class ConfrontationScenario:
 
         self.worm: Optional[WormAttack] = None
         self._launch_threats()
-
-        # F4 opt-in: vectorized fleet-wide safeness gauges, sampled on
-        # the same tick as the skynet check.
-        self.batch_sampler: Optional[BatchSafenessSampler] = None
-        if batch_safeness and self.devices:
-            space = next(iter(self.devices.values())).state.space
-            self.batch_sampler = BatchSafenessSampler(
-                self.classifier, space, self.sim.metrics)
 
         # Skynet-formation sampling.
         self.skynet_formed_at: Optional[float] = None
@@ -556,28 +485,19 @@ class ConfrontationScenario:
         bound.every(1.0, label="tick")
         self.backdoors.append(Backdoor(device, key=f"key-{device.device_id}"))
 
-        device_id = device.device_id
-
         def on_decision(decision) -> None:
             self.sim.metrics.counter(f"decisions.{decision.outcome.value}").inc()
             if decision.vetoes:
                 self.sim.metrics.counter("safeguard.vetoes").inc()
-            ledger = self.reputation_ledger
-            if ledger is not None:
-                if decision.vetoes:
-                    ledger.record(device_id, "veto", self.sim.now)
-                elif decision.executed:
-                    ledger.record(device_id, "validated", self.sim.now)
 
         device.engine.on_decision = on_decision
 
     # -- fleet health (E20) ----------------------------------------------------------
 
-    def _wire_health(self, interval: float, adaptive_quarantine: bool,
-                     quarantine_after: int, quarantine_relaxed: int,
+    def _wire_health(self, adaptive_quarantine: bool, quarantine_after: int,
                      compaction_policy: str, compaction_bytes: int,
                      journaled: bool) -> None:
-        monitor = self.monitor = HealthMonitor(self.sim, interval=interval)
+        monitor = self.monitor = HealthMonitor(self.sim, interval=HEALTH_INTERVAL)
 
         # Link-health SLIs from the reliable channel's streams.  RTT is
         # the transient-loss discriminator: global degradation inflates
@@ -585,7 +505,6 @@ class ConfrontationScenario:
         # while a truly partitioned device's retries never ack and so
         # never touch the fleet RTT at all.
         monitor.track_ewma("link.rtt_ewma", "reliable.rtt", alpha=0.3)
-        monitor.track_quantile("link.rtt_p95", "reliable.rtt", 0.95)
         monitor.track_rate("link.dead_letter_rate", "reliable.dead_letter")
         monitor.track_rate("link.resend_rate", "reliable.resends")
         monitor.track_ratio("link.ack_loss", "reliable.resends",
@@ -653,54 +572,10 @@ class ConfrontationScenario:
                 description="journal bytes approaching the compaction budget",
             ))
 
-        # E22: the reputation plane publishes through the same monitor
-        # and tunes safeguard knobs through one arbiter, so adjusters
-        # touching the same knob compose by explicit priority instead of
-        # last-call-wins races.
-        ledger = self.reputation_ledger
-        if ledger is not None:
-            monitor.track_value("reputation.mean",
-                                lambda now: ledger.mean(now))
-            monitor.track_value("reputation.min",
-                                lambda now: ledger.minimum(now))
-            monitor.track_value(
-                "reputation.suspects",
-                lambda now: float(len(ledger.in_band("suspect", now))))
-            self.arbiter = KnobArbiter(self.sim)
-
         if adaptive_quarantine:
             self.adaptive = AdaptiveQuarantine(
                 self.sim, engine, self.overseer_links.values(),
-                base=quarantine_after, relaxed=quarantine_relaxed,
-                arbiter=self.arbiter)
-
-        if ledger is not None:
-            arbiter = self.arbiter
-            watchdog = self.watchdog
-            for device_id, link in sorted(self.overseer_links.items()):
-                arbiter.ensure(quarantine_knob(device_id), quarantine_after,
-                               self._quarantine_setter(link))
-            if watchdog is not None:
-                for device_id in sorted(self.devices):
-                    arbiter.ensure(
-                        approach_threshold_knob(device_id),
-                        watchdog.approach_threshold,
-                        self._strictness_setter(device_id,
-                                                "approach_threshold"))
-                    arbiter.ensure(
-                        approach_strikes_knob(device_id),
-                        watchdog.approach_strikes,
-                        self._strictness_setter(device_id,
-                                                "approach_strikes"))
-            adjuster = self.reputation_adjuster = ReputationAdjuster(
-                self.sim, ledger, arbiter, monitor=monitor)
-            adjuster.add_rule(quarantine_knob,
-                              suspect=lambda base: max(1, int(base) - 2))
-            adjuster.add_rule(approach_threshold_knob,
-                              probation=lambda base: base * 1.2,
-                              suspect=lambda base: base * 1.5)
-            adjuster.add_rule(approach_strikes_knob,
-                              suspect=lambda base: 1)
+                base=quarantine_after, relaxed=QUARANTINE_RELAXED)
 
         if compaction_policy == "size":
             self.compactor = CompactionController(
@@ -718,31 +593,6 @@ class ConfrontationScenario:
                                  for journal in journals.values()))
 
             monitor.track_value(CompactionController.SLI, total_bytes)
-
-    @staticmethod
-    def _quarantine_setter(link):
-        def apply(value) -> None:
-            link.quarantine_after = int(value)
-
-        return apply
-
-    def _strictness_setter(self, device_id: str, field_name: str):
-        def apply(value) -> None:
-            self.watchdog.set_strictness(device_id, **{field_name: value})
-
-        return apply
-
-    def _feed_authz_outcomes(self) -> None:
-        """Fold authenticated gateway rejects into the issuer's
-        reputation — a verified envelope that still violated the rails
-        is the issuer's conduct, unlike a forgery spent in its name."""
-        decisions = self.gateway.decisions
-        for decision in decisions[self._authz_fed:]:
-            if not decision.allowed and decision.reason in GATEWAY_REASONS:
-                self.reputation_ledger.record(
-                    decision.issuer or "anonymous", "authz-reject",
-                    self.sim.now)
-        self._authz_fed = len(decisions)
 
     # -- threats ---------------------------------------------------------------------
 
@@ -848,16 +698,13 @@ class ConfrontationScenario:
         )
 
     def _sample_skynet(self) -> None:
-        if self.batch_sampler is not None:
-            self.batch_sampler.sample(
-                device.state.peek() for device in self.devices.values())
         compromised = self._compromised_active()
         self.max_concurrent_compromised = max(self.max_concurrent_compromised,
                                               len(compromised))
         spanned = self.coalition.organizations_spanned(compromised)
         self.orgs_spanned_peak = max(self.orgs_spanned_peak, len(spanned))
         if self.skynet_formed_at is None:
-            if (len(compromised) >= self.skynet_min_devices
+            if (len(compromised) >= SKYNET_MIN_DEVICES
                     and len(spanned) >= 2
                     and self._rogue_harm_count() >= 1):
                 self.skynet_formed_at = self.sim.now
@@ -892,26 +739,12 @@ class ConfrontationScenario:
             self.sim.metrics.gauge("store.bytes_written").set(
                 self.storage.bytes_written)
             self.sim.metrics.gauge("store.blobs").set(len(self.storage.names()))
-        if self.reputation_ledger is not None:
-            now = self.sim.now
-            ledger = self.reputation_ledger
-            mean = ledger.mean(now)
-            minimum = ledger.minimum(now)
-            self.sim.metrics.gauge("reputation.mean").set(
-                mean if mean is not None else ledger.baseline)
-            self.sim.metrics.gauge("reputation.min").set(
-                minimum if minimum is not None else ledger.baseline)
-            self.sim.metrics.gauge("reputation.suspects").set(
-                len(ledger.in_band("suspect", now)))
-            self.sim.metrics.gauge("reputation.devices").set(
-                len(ledger.known()))
         return write_bundle(self.sim, dirpath, extra_manifest={
             "scenario": "confrontation",
             "safety_transport": self.safety_transport,
             "durability": self.durability_mode,
             "flight_dumps": self.flight.dumps if self.flight else 0,
             "health": self.monitor is not None,
-            "reputation": self.reputation_ledger is not None,
         }, alerts=self.alerts,
             # Self-describing identity (E24): warehouse ingest reads the
             # run's coordinates straight from the manifest.
@@ -1007,13 +840,9 @@ class ConfrontationScenario:
                 self.sim.metrics.value("attacks.replayed_orders")),
             "stolen_key_orders": int(
                 self.sim.metrics.value("attacks.stolen_key_orders")),
-            "reputation_outcomes": (
-                sum(self.reputation_ledger.outcomes.values())
-                if self.reputation_ledger is not None else 0),
-            "reputation_suspects": (
-                len(self.reputation_ledger.in_band("suspect", self.sim.now))
-                if self.reputation_ledger is not None else 0),
-            "knob_adjustments": int(
-                self.sim.metrics.value("health.knob_adjustments")),
+            # Always 0 here; kept because perfbench/pins.json digests the summary.
+            "reputation_outcomes": 0,
+            "reputation_suspects": 0,
+            "knob_adjustments": 0,
             "horizon": horizon,
         }

@@ -91,7 +91,7 @@ class Histogram:
     def subscribe(self, watcher) -> None:
         """Stream every future observation to ``watcher(value)``.
 
-        This is how O(1)-memory online estimators (EWMA, P²) ride along
+        This is how O(1)-memory online estimators (EWMA) ride along
         a histogram without re-walking its values; the hot
         :meth:`observe` path pays one truthiness check when nobody
         subscribed.

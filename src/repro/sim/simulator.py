@@ -14,6 +14,7 @@ observing it (the chaos experiments, E17).
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
 from typing import Any, Callable, Optional
 
@@ -254,6 +255,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (no reentrant run)")
+        if until is not None and math.isnan(until):
+            # No timestamp compares greater than NaN: the run would never stop.
+            raise SimulationError("run horizon must be a number, got NaN")
         self._running = True
         self._stop_requested = False
         processed = 0

@@ -23,14 +23,10 @@ opaque Python function, and unknown subclasses may override
 fallback (silent degradation is how perf regressions hide).
 
 numpy is optional for the library as a whole: everything here degrades
-to the scalar path when numpy is absent (:func:`numpy_available`), and
-:class:`BatchSafenessSampler` — the confrontation-scenario opt-in —
-counts scalar fallbacks per reason instead of failing.
+to the scalar path when numpy is absent (:func:`numpy_available`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.state import StateSpace
 from repro.errors import ConfigurationError
@@ -316,76 +312,3 @@ def compile_safeness(classifier: SafenessClassifier, space: StateSpace,
     if np is None:
         raise BatchCompileError("no-numpy")
     return BatchSafeness(classifier, _compile(classifier, space, np), np)
-
-
-class BatchSafenessSampler:
-    """Fleet-wide safeness gauges from device snapshots (E20 integration).
-
-    The confrontation scenario's ``batch_safeness`` opt-in builds one of
-    these; each :meth:`sample` call scores every device vector in a
-    single vectorized pass (or a counted scalar fallback) and publishes
-    ``<prefix>.mean`` / ``<prefix>.min`` / ``<prefix>.bad`` gauges to the
-    metrics registry, where the E20 health monitor and the Prometheus
-    exposition already pick gauges up.
-    """
-
-    def __init__(self, classifier: SafenessClassifier, space: StateSpace,
-                 metrics, prefix: str = "fleet.safeness", np_module=None):
-        self.classifier = classifier
-        self.space = space
-        self.metrics = metrics
-        self.prefix = prefix
-        self.np = np_module if np_module is not None else _np
-        self.samples = 0
-        self.vectorized_samples = 0
-        self.fallback_samples = 0
-        self.fallback_reasons: dict = {}
-        self._compiled: Optional[BatchSafeness] = None
-        self._compile_reason: Optional[str] = None
-        try:
-            self._compiled = compile_safeness(classifier, space, self.np)
-        except BatchCompileError as exc:
-            self._compile_reason = exc.reason
-
-    def _count_fallback(self, reason: str) -> None:
-        self.fallback_samples += 1
-        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
-        self.metrics.counter(f"{self.prefix}.fallback").inc()
-
-    def sample(self, vectors) -> dict:
-        """Score ``vectors`` (state-vector dicts); publish + return stats."""
-        vectors = list(vectors)
-        self.samples += 1
-        bad_below = self.classifier.bad_below
-        if self._compiled is not None and vectors:
-            matrix = StateMatrix.from_rows(self.space, vectors, self.np)
-            scores = self._compiled.safeness(matrix.columns, matrix.n_rows)
-            mean = float(scores.mean())
-            low = float(scores.min())
-            bad = int((scores < bad_below).sum())
-            self.vectorized_samples += 1
-        else:
-            if self._compile_reason is not None:
-                self._count_fallback(self._compile_reason)
-            scores_list = [self.classifier.safeness(v) for v in vectors]
-            if scores_list:
-                mean = sum(scores_list) / len(scores_list)
-                low = min(scores_list)
-                bad = sum(1 for s in scores_list if s < bad_below)
-            else:
-                mean, low, bad = 1.0, 1.0, 0
-        self.metrics.gauge(f"{self.prefix}.mean").set(mean)
-        self.metrics.gauge(f"{self.prefix}.min").set(low)
-        self.metrics.gauge(f"{self.prefix}.bad").set(bad)
-        return {"mean": mean, "min": low, "bad": bad,
-                "devices": len(vectors)}
-
-    def stats(self) -> dict:
-        return {
-            "samples": self.samples,
-            "vectorized": self.vectorized_samples,
-            "fallbacks": self.fallback_samples,
-            "fallback_reasons": dict(self.fallback_reasons),
-            "compiled": self._compiled is not None,
-            "compile_reason": self._compile_reason,
-        }

@@ -6,8 +6,8 @@ not just the post-hoc ``explain()`` of E19.  This package is that
 watcher:
 
 * :mod:`repro.telemetry.health.estimators` — O(1)-memory online
-  estimators (:class:`Ewma`, P² streaming quantiles, counter-delta
-  rates) that ride the metric streams without retaining samples;
+  estimators (:class:`Ewma`, counter-delta rates) that ride the metric
+  streams without retaining samples;
 * :mod:`repro.telemetry.health.monitor` — :class:`HealthMonitor`: one
   periodic task sampling every registered SLI, publishing ``health.*``
   gauges and fanning readings out to subscribers;
@@ -19,33 +19,19 @@ watcher:
   :class:`AdaptiveQuarantine` tunes ``OverseerLink.quarantine_after``
   from link-health alerts, :class:`CompactionController` turns
   storage-pressure alerts into size-triggered journal compaction and
-  batched flushes;
-* :mod:`repro.telemetry.health.knobs` — :class:`KnobArbiter` (E22):
-  priority-arbitrated, span-attributed composition when several closed
-  loops tune the same safeguard knob.
+  batched flushes.
 """
 
 from repro.telemetry.health.adaptive import (AdaptiveQuarantine,
                                              CompactionController)
-from repro.telemetry.health.estimators import Ewma, P2Quantile, RateTracker
-from repro.telemetry.health.knobs import (
-    KnobArbiter,
-    approach_strikes_knob,
-    approach_threshold_knob,
-    quarantine_knob,
-)
+from repro.telemetry.health.estimators import Ewma, RateTracker
 from repro.telemetry.health.monitor import HealthMonitor
 from repro.telemetry.health.rules import Alert, AlertEngine, AlertRule
 
 __all__ = [
     "AdaptiveQuarantine",
     "CompactionController",
-    "KnobArbiter",
-    "approach_strikes_knob",
-    "approach_threshold_knob",
-    "quarantine_knob",
     "Ewma",
-    "P2Quantile",
     "RateTracker",
     "HealthMonitor",
     "Alert",

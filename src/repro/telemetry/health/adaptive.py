@@ -28,21 +28,12 @@ from typing import Optional
 class AdaptiveQuarantine:
     """Tunes ``OverseerLink.quarantine_after`` from link-health alerts.
 
-    With an ``arbiter`` (a :class:`~repro.telemetry.health.knobs.KnobArbiter`)
-    the relaxation goes through per-device knob arbitration at
-    :attr:`PRIORITY` 10 instead of writing ``link.quarantine_after``
-    directly — so the E22 :class:`~repro.trust.reputation.ReputationAdjuster`
-    (priority 20) can keep a suspect device's fuse tight through a storm
-    that relaxes everyone else's, deterministically rather than by
-    whichever callback ran last.  Without an arbiter the legacy
-    direct-write behavior is unchanged.
+    Every managed link is written directly: ``relaxed`` when ``rule``
+    fires, ``base`` when it resolves.
     """
 
-    #: Storm relaxation ranks below reputation tightening (priority 20).
-    PRIORITY = 10
-
     def __init__(self, sim, engine, links, base: int = 3, relaxed: int = 8,
-                 rule: str = "link.degraded", arbiter=None):
+                 rule: str = "link.degraded"):
         if relaxed < base:
             raise ValueError("relaxed threshold must not undercut the base "
                              "(adaptive mode never weakens fail-closed below it)")
@@ -51,40 +42,17 @@ class AdaptiveQuarantine:
         self.base = base
         self.relaxed = relaxed
         self.rule = rule
-        self.arbiter = arbiter
         self._gauge = sim.metrics.gauge("health.quarantine_after")
         self._gauge.set(float(base))
         self._adjustments = sim.metrics.counter("health.quarantine_adjustments")
-        if arbiter is not None:
-            from repro.telemetry.health.knobs import quarantine_knob
-            self._knob_names = []
-            for link in self.links:
-                name = quarantine_knob(link.device.device_id)
-                arbiter.ensure(name, base, self._setter(link))
-                self._knob_names.append(name)
-        else:
-            for link in self.links:
-                link.quarantine_after = base
+        for link in self.links:
+            link.quarantine_after = base
         engine.on_fire(self._on_fire)
         engine.on_resolve(self._on_resolve)
 
-    @staticmethod
-    def _setter(link):
-        def apply(value):
-            link.quarantine_after = int(value)
-        return apply
-
     def _apply(self, threshold: int, cause: str) -> None:
-        if self.arbiter is not None:
-            for name in self._knob_names:
-                if threshold == self.base:
-                    self.arbiter.withdraw(name, "adaptive-quarantine")
-                else:
-                    self.arbiter.propose(name, "adaptive-quarantine",
-                                         self.PRIORITY, threshold, cause=cause)
-        else:
-            for link in self.links:
-                link.quarantine_after = threshold
+        for link in self.links:
+            link.quarantine_after = threshold
         self._gauge.set(float(threshold))
         self._adjustments.inc()
         self.sim.record("health.quarantine_tune", cause,

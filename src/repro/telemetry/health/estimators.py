@@ -1,18 +1,16 @@
 """O(1)-memory streaming estimators for live health signals.
 
-The exact :class:`~repro.sim.metrics.Histogram` keeps every observation;
-fine for post-run experiment tables, wrong for a monitor that must watch
-millions of link events without growing.  These estimators consume one
-value at a time and keep constant state:
+These estimators consume one value at a time and keep constant state:
 
 * :class:`Ewma` — exponentially weighted moving average, the classic
   "recent level" smoother.
-* :class:`P2Quantile` — the P² algorithm (Jain & Chlamtac, CACM 1985):
-  five markers track a running quantile without storing the sample.
 * :class:`RateTracker` — per-second rate from periodic samples of a
   monotonic counter, optionally EWMA-smoothed.
 
-All three answer ``None`` until they have data — "no observations yet"
+Quantiles come from the exact :class:`~repro.sim.metrics.Histogram`
+(``quantile``), the one quantile path in the code base.
+
+Both answer ``None`` until they have data — "no observations yet"
 must never masquerade as a healthy zero (see the matching
 ``Histogram.quantile`` contract).
 """
@@ -20,7 +18,6 @@ must never masquerade as a healthy zero (see the matching
 from __future__ import annotations
 
 import math
-from bisect import insort
 from typing import Optional
 
 
@@ -48,100 +45,6 @@ class Ewma:
     def value(self) -> Optional[float]:
         """The smoothed level, or ``None`` before the first observation."""
         return self._value
-
-
-class P2Quantile:
-    """Streaming q-quantile via the P² algorithm — five markers, O(1) memory.
-
-    The first five observations are kept exactly (the estimate is then the
-    empirical interpolated quantile); from the sixth on, the sorted buffer
-    becomes the marker heights and each new value only nudges the middle
-    markers toward their desired positions with the P² parabolic update.
-    """
-
-    __slots__ = ("q", "_count", "_heights", "_positions", "_desired",
-                 "_increments")
-
-    def __init__(self, q: float):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        self.q = q
-        self._count = 0
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def observe(self, value: float) -> None:
-        if math.isnan(value):
-            raise ValueError("P2Quantile observed NaN")
-        self._count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            insort(heights, value)
-            return
-        positions = self._positions
-        # Locate the cell and stretch the extremes if needed.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and not heights[cell] <= value < heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        increments = self._increments
-        for i in range(5):
-            desired[i] += increments[i]
-        # Nudge the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = desired[i] - positions[i]
-            if ((delta >= 1.0 and positions[i + 1] - positions[i] > 1.0)
-                    or (delta <= -1.0 and positions[i - 1] - positions[i] < -1.0)):
-                sign = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, sign)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, sign)
-                positions[i] += sign
-
-    def _parabolic(self, i: int, sign: float) -> float:
-        n, h = self._positions, self._heights
-        return h[i] + sign / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + sign) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - sign) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, sign: float) -> float:
-        n, h = self._positions, self._heights
-        step = 1 if sign > 0 else -1
-        return h[i] + sign * (h[i + step] - h[i]) / (n[i + step] - n[i])
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def value(self) -> Optional[float]:
-        """The quantile estimate, or ``None`` before any observation."""
-        heights = self._heights
-        if not heights:
-            return None
-        if len(heights) < 5:
-            # Empirical interpolated quantile over the exact early sample.
-            idx = self.q * (len(heights) - 1)
-            lo = int(math.floor(idx))
-            hi = int(math.ceil(idx))
-            if lo == hi:
-                return heights[lo]
-            frac = idx - lo
-            return heights[lo] * (1.0 - frac) + heights[hi] * frac
-        return heights[2]
 
 
 class RateTracker:

@@ -9,9 +9,8 @@ fleet view for free — and hands the full reading dict to subscribers
 
 SLIs come in a few shapes, all O(1) memory per tick:
 
-* ``track_quantile`` / ``track_ewma`` — streaming estimators subscribed
-  to a histogram's observation stream (:class:`P2Quantile`,
-  :class:`Ewma`); nothing re-walks the histogram's sorted list.
+* ``track_ewma`` — an :class:`Ewma` subscribed to a histogram's
+  observation stream; nothing re-walks the histogram's sorted list.
 * ``track_rate`` — per-second rate of a monotonic counter, from samples
   taken at tick time.
 * ``track_ratio`` — windowed ratio of two counter deltas (e.g. dead
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.telemetry.health.estimators import Ewma, P2Quantile, RateTracker
+from repro.telemetry.health.estimators import Ewma, RateTracker
 
 #: Gauge prefix under which every SLI reading is published.
 GAUGE_PREFIX = "health."
@@ -60,13 +59,6 @@ class HealthMonitor:
         if name in self._slis:
             raise ValueError(f"SLI {name!r} already registered")
         self._slis[name] = fn
-
-    def track_quantile(self, name: str, histogram: str, q: float) -> P2Quantile:
-        """SLI ``name`` = streaming P² ``q``-quantile of ``histogram``."""
-        estimator = P2Quantile(q)
-        self.sim.metrics.histogram(histogram).subscribe(estimator.observe)
-        self.track_value(name, lambda _now: estimator.value)
-        return estimator
 
     def track_ewma(self, name: str, histogram: str, alpha: float = 0.3) -> Ewma:
         """SLI ``name`` = EWMA of ``histogram``'s observation stream."""

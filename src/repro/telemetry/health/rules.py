@@ -4,7 +4,7 @@ Alert rules are ECA policies: their firing and clearing conditions are
 written in the *same condition grammar* the generative policy layer
 uses (:func:`repro.core.conditions.parse_condition`), evaluated against
 the :class:`~repro.telemetry.health.monitor.HealthMonitor`'s latest
-readings as the state dict.  ``link.rtt_p95 > 0.45`` is a threshold
+readings as the state dict.  ``link.rtt_ewma > 0.45`` is a threshold
 rule; ``store.journal_rate.roc > 100`` is a rate-of-change rule (the
 monitor publishes ``.roc`` derivatives); ``for_ticks`` turns either
 into a sustained-for-N-ticks predicate.

@@ -38,7 +38,7 @@ _STREAM_FILES = ("alerts.jsonl", "leases.jsonl", "api_access.jsonl",
 
 #: Manifest keys copied into record context when scalar.
 _CONTEXT_KEYS = ("scenario", "service", "durability", "safety_transport",
-                 "flight_dumps", "health", "reputation", "quick",
+                 "flight_dumps", "health", "quick",
                  "events_processed", "sim_time", "profile")
 
 

@@ -19,7 +19,6 @@ from repro.trust.provenance import ProvenanceRecord, TrustLedger
 from repro.trust.reputation import (
     BANDS,
     OUTCOME_WEIGHTS,
-    ReputationAdjuster,
     ReputationLedger,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "IterativeFilteringAggregator",
     "OUTCOME_WEIGHTS",
     "ProvenanceRecord",
-    "ReputationAdjuster",
     "ReputationLedger",
     "SensorReading",
     "TrustLedger",

@@ -1,31 +1,26 @@
 """Per-device reputation: autonomy scaled by earned trust (E22).
 
 The paper's safeguards treat every device as equally trustworthy: a
-vote, a join petition, and a gateway budget are identical whether the
-device's audit history is spotless or riddled with vetoes.  This module
-extends the sec VI-B trust idea from *sensors* to the *devices
-themselves*: a :class:`ReputationLedger` folds audit outcomes (vetoes,
-authorization rejects, alert involvement, cross-validation failures,
-successful validations) into a deterministic per-device score with
-configurable decay, and the control plane reads that score as
+vote and a join petition are identical whether the device's audit
+history is spotless or riddled with vetoes.  This module extends the
+sec VI-B trust idea from *sensors* to the *devices themselves*: a
+:class:`ReputationLedger` folds audit outcomes (vetoes, authorization
+rejects, alert involvement, cross-validation failures, successful
+validations) into a deterministic per-device score with configurable
+decay, and the control plane reads that score as
 
 * a **quorum weight** — low-reputation ballots count fractionally in a
   reputation-armed :class:`~repro.safeguards.governance.BallotBox`;
-* an **admission / budget scale** — the
-  :class:`~repro.safeguards.collection.JoinDesk` and the
-  :class:`~repro.safeguards.gateway.ActuationGateway` tighten as
-  reputation drops;
-* a **strictness band** — the :class:`ReputationAdjuster` proposes
-  stricter per-device safeness thresholds and shorter quarantine fuses
-  through the E20 :class:`~repro.telemetry.health.knobs.KnobArbiter`
-  while a device sits in probation or suspicion.
+* an **admission bar** — the
+  :class:`~repro.safeguards.collection.JoinDesk` turns away petitions
+  whose sponsor's reputation has dropped too far.
 
 Determinism is load-bearing: the score is a pure function of the
 outcome sequence and their times — decay is applied lazily as
 ``baseline + (score - baseline) * (1 - decay)**dt`` at read time, so no
 periodic task (whose cadence could differ across shard layouts) ever
 touches the ledger.  Updates journal through (E18), so recovery
-reproduces every weight a ballot or budget decision was made with.
+reproduces every weight a ballot decision was made with.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ class ReputationLedger:
 
     ``decay`` pulls every score back toward ``baseline`` per unit of
     sim-time — grudges and halos both fade.  ``weight()`` maps a score
-    onto a quorum/budget multiplier: full weight at or above
+    onto a quorum multiplier: full weight at or above
     ``full_weight_at``, linearly down to ``min_weight`` below it (never
     zero: a suspect device still counts *fractionally*, it is not
     silently disenfranchised).
@@ -125,14 +120,14 @@ class ReputationLedger:
         return self.baseline + (value - self.baseline) * (1.0 - self.decay) ** dt
 
     def weight(self, device_id: str, now: float) -> float:
-        """Quorum/budget multiplier in ``[min_weight, 1]`` for the device."""
+        """Quorum multiplier in ``[min_weight, 1]`` for the device."""
         score = self.score(device_id, now)
         if score >= self.full_weight_at:
             return 1.0
         return max(self.min_weight, score / self.full_weight_at)
 
     def band(self, device_id: str, now: float) -> str:
-        """``trusted`` / ``probation`` / ``suspect`` strictness band."""
+        """``trusted`` / ``probation`` / ``suspect`` reputation band."""
         score = self.score(device_id, now)
         if score >= self.full_weight_at:
             return "trusted"
@@ -231,82 +226,3 @@ class ReputationLedger:
                 self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
                 replayed += 1
         return {"replayed": replayed}
-
-
-class ReputationAdjuster:
-    """Escalates guard strictness for low-reputation devices (E22).
-
-    Wired like E20's :class:`~repro.telemetry.health.adaptive.AdaptiveQuarantine`
-    — a closed loop from an observed signal to a safeguard knob — but
-    *per device* and through the
-    :class:`~repro.telemetry.health.knobs.KnobArbiter`, so it composes
-    deterministically with fleet-wide adjusters tuning the same knobs:
-    this adjuster's proposals carry :attr:`PRIORITY` 20 and outrank the
-    storm-relaxation's 10, because a specific distrust signal must beat
-    a general "the network is bad" relaxation (fail closed).
-
-    Rules bind a knob-name template (``{device}`` substituted) to a
-    per-band value function of the knob's base value::
-
-        adjuster.add_rule(quarantine_knob, suspect=lambda base: max(1, base - 2))
-
-    Each tick the adjuster walks the ledger's known devices in sorted
-    order and proposes (or withdraws) accordingly — evaluation order is
-    deterministic, and the arbiter span-attributes every effective
-    change to its winning proposer.
-    """
-
-    #: Outranks AdaptiveQuarantine's storm relaxation (priority 10).
-    PRIORITY = 20
-
-    def __init__(self, sim, ledger: ReputationLedger, arbiter, monitor=None,
-                 interval: float = 1.0, name: str = "reputation"):
-        """Ticks on ``monitor`` (a
-        :class:`~repro.telemetry.health.monitor.HealthMonitor`) when
-        given — one sampling cadence for the whole health plane — or on
-        its own ``sim.every(interval)`` task otherwise."""
-        self.sim = sim
-        self.ledger = ledger
-        self.arbiter = arbiter
-        self.name = name
-        self._rules: list[tuple] = []
-        self._proposed: dict[tuple, object] = {}
-        if monitor is not None:
-            monitor.subscribe(self._on_tick)
-        else:
-            sim.every(interval, self._tick, label="reputation:adjust")
-
-    def add_rule(self, knob_for: Callable[[str], str],
-                 probation: Optional[Callable] = None,
-                 suspect: Optional[Callable] = None) -> None:
-        """``knob_for(device_id)`` names the knob; ``probation`` /
-        ``suspect`` map the knob's base value to the value proposed while
-        the device sits in that band (``None`` = no proposal, i.e. the
-        band inherits whatever lower-priority adjusters decide)."""
-        self._rules.append((knob_for, {"probation": probation,
-                                       "suspect": suspect}))
-
-    def _on_tick(self, now: float, _readings: dict) -> None:
-        self._tick(now)
-
-    def _tick(self, now: Optional[float] = None) -> None:
-        now = self.sim.now if now is None else now
-        for device_id in self.ledger.known():
-            band = self.ledger.band(device_id, now)
-            for knob_for, by_band in self._rules:
-                knob = knob_for(device_id)
-                if not self.arbiter.has(knob):
-                    continue
-                value_fn = by_band.get(band)
-                key = (knob,)
-                if value_fn is None:
-                    if key in self._proposed:
-                        del self._proposed[key]
-                        self.arbiter.withdraw(knob, self.name)
-                    continue
-                value = value_fn(self.arbiter.base(knob))
-                if self._proposed.get(key) == value:
-                    continue
-                self._proposed[key] = value
-                self.arbiter.propose(knob, self.name, self.PRIORITY, value,
-                                     cause=f"band:{band}")

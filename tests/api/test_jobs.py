@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.jobs import JobQueue
+from repro.api.jobs import (MAX_JOB_DRONES, MAX_JOB_HUMANS, MAX_JOB_SLEEP,
+                            JobQueue)
 from repro.api.runtime import ManualClock, ServiceRuntime
+from repro.scenarios.confrontation import ConfrontationScenario
 
 
 def _queue(capacity: int = 2, **kwargs) -> JobQueue:
@@ -78,6 +80,42 @@ class TestLifecycle:
         assert record["trace_id"] == "t42"
         assert record["status"] == "queued"
         assert record["job_id"] == job.job_id
+
+
+class TestConfrontationJob:
+    def test_small_run_completes_with_its_summary(self):
+        jobs = _queue()
+        job, _ = jobs.submit("confrontation", {"until": 5.0, "drones": 1})
+        jobs.run_pending()
+        assert job.status == "done"
+        assert job.result["horizon"] == 5.0
+
+    @pytest.mark.parametrize("params", [
+        {"until": "nan"}, {"until": "inf"}, {"until": 1e12},
+        {"until": 0}, {"until": -5.0},
+        {"drones": -1}, {"drones": MAX_JOB_DRONES + 1},
+        {"civilians": -1}, {"warfighters": MAX_JOB_HUMANS + 1},
+    ])
+    def test_unbounded_params_fail_before_any_scenario_runs(
+            self, params, monkeypatch):
+        ran = []
+        monkeypatch.setattr(ConfrontationScenario, "run",
+                            lambda self, until=150.0: ran.append(until))
+        jobs = _queue()
+        job, _ = jobs.submit("confrontation", params)
+        jobs.run_pending()
+        assert ran == []
+        assert job.status == "failed"
+        assert "ValueError: " in job.error
+        assert jobs.runtime.metrics.value("jobs.failed") == 1.0
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf", MAX_JOB_SLEEP + 1, -1])
+    def test_sleep_job_refuses_unbounded_seconds(self, seconds):
+        jobs = _queue()
+        job, _ = jobs.submit("sleep", {"seconds": seconds})
+        jobs.run_pending()
+        assert job.status == "failed"
+        assert "seconds must be in" in job.error
 
 
 class TestGauges:

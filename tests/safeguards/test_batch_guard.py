@@ -37,11 +37,9 @@ from repro.safeguards.batch import (
 )
 from repro.statespace.batch import (
     BatchCompileError,
-    BatchSafenessSampler,
     StateMatrix,
     compile_safeness,
 )
-from repro.sim.metrics import MetricsRegistry
 from repro.statespace.classifier import (
     BoxClassifier,
     BoxRegion,
@@ -163,17 +161,6 @@ def test_classifier_compile_coverage_and_fallback():
     with pytest.raises(BatchCompileError) as excinfo:
         compile_safeness(Custom([ThresholdBand("temp", safe_high=1.0)]), sp)
     assert excinfo.value.reason == "unsupported-classifier"
-
-
-def test_sampler_falls_back_visibly_on_opaque_classifier():
-    registry = MetricsRegistry()
-    sampler = BatchSafenessSampler(
-        FunctionClassifier(lambda v: 0.9), space(), registry)
-    stats = sampler.sample([{"temp": 10.0}, {"temp": 20.0}])
-    assert stats["mean"] == pytest.approx(0.9)
-    assert sampler.stats()["fallback_reasons"] == {"opaque-function": 1}
-    assert registry.counter("fleet.safeness.fallback").value == 1
-    assert registry.gauge("fleet.safeness.bad").value == 0
 
 
 # -- decision identity over a randomized policy corpus -------------------------

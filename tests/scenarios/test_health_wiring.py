@@ -52,8 +52,7 @@ class TestConfigValidation:
 
 class TestHealthInScenario:
     def test_storm_fires_link_alert_and_relaxes_quarantine(self):
-        scenario = build(fault_plan=storm_plan(), adaptive_quarantine=True,
-                        quarantine_relaxed=8)
+        scenario = build(fault_plan=storm_plan(), adaptive_quarantine=True)
         result = scenario.run(until=30.0)
         assert result["alerts_fired"] >= 1
         assert scenario.alerts.is_active("link.degraded")

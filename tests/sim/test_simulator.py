@@ -252,3 +252,14 @@ def test_profiler_accounts_crashing_callbacks():
     with profile_run(sim) as profiler:
         sim.run(until=5.0)
     assert profiler.per_label["dev:boom"][0] == 1   # timed despite the crash
+
+
+def test_nan_horizon_is_rejected(sim):
+    # No timestamp compares greater than NaN, so the run could never end.
+    fired = []
+    sim.every(1.0, lambda: fired.append(sim.now))
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"), max_events=100)
+    assert fired == [] and sim.now == 0.0
+    sim.run(until=3.0)                      # not left marked as running
+    assert fired == [1.0, 2.0, 3.0]

@@ -1,10 +1,8 @@
 """Streaming estimator correctness (E20)."""
 
-import random
-
 import pytest
 
-from repro.telemetry.health.estimators import Ewma, P2Quantile, RateTracker
+from repro.telemetry.health.estimators import Ewma, RateTracker
 
 
 class TestEwma:
@@ -37,60 +35,6 @@ class TestEwma:
             Ewma(alpha=1.5)
         with pytest.raises(ValueError):
             Ewma().observe(float("nan"))
-
-
-class TestP2Quantile:
-    def test_starts_unknown(self):
-        assert P2Quantile(0.5).value is None
-
-    def test_small_sample_is_exact(self):
-        est = P2Quantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            est.observe(v)
-        assert est.value == 2.0
-
-    def test_single_observation(self):
-        est = P2Quantile(0.95)
-        est.observe(7.0)
-        assert est.value == 7.0
-
-    def test_median_of_uniform_stream(self):
-        rng = random.Random(7)
-        est = P2Quantile(0.5)
-        for _ in range(5000):
-            est.observe(rng.uniform(0.0, 1.0))
-        assert est.value == pytest.approx(0.5, abs=0.05)
-
-    def test_p95_of_uniform_stream(self):
-        rng = random.Random(11)
-        est = P2Quantile(0.95)
-        for _ in range(5000):
-            est.observe(rng.uniform(0.0, 1.0))
-        assert est.value == pytest.approx(0.95, abs=0.05)
-
-    def test_tracks_bimodal_rtt_surge(self):
-        # The SLI use case: RTTs near 0.15 normally, near 4.0 when acks
-        # need retries.  The running p95 must land in the surge mode.
-        rng = random.Random(3)
-        est = P2Quantile(0.95)
-        for _ in range(2000):
-            est.observe(0.15 + rng.uniform(-0.02, 0.02))
-        for _ in range(2000):
-            est.observe(4.0 + rng.uniform(-0.5, 0.5))
-        assert est.value > 3.0
-
-    def test_memory_is_constant(self):
-        est = P2Quantile(0.9)
-        for i in range(10000):
-            est.observe(float(i % 97))
-        assert len(est._heights) == 5
-        assert est.count == 10000
-
-    def test_rejects_bad_quantile_and_nan(self):
-        with pytest.raises(ValueError):
-            P2Quantile(1.5)
-        with pytest.raises(ValueError):
-            P2Quantile(0.5).observe(float("nan"))
 
 
 class TestRateTracker:

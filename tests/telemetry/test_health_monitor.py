@@ -14,15 +14,16 @@ def make_monitor(interval=1.0):
 class TestHealthMonitor:
     def test_no_data_sli_is_absent_not_zero(self):
         sim, monitor = make_monitor()
-        monitor.track_quantile("rtt_p95", "reliable.rtt", 0.95)
+        monitor.track_ewma("rtt_ewma", "reliable.rtt")
         sim.run(until=3.0)
-        assert "rtt_p95" not in monitor.state
-        assert sim.metrics.get("health.rtt_p95") is None
+        assert "rtt_ewma" not in monitor.state
+        assert sim.metrics.get("health.rtt_ewma") is None
 
     def test_quantile_sli_publishes_gauge(self):
+        # Quantile SLIs read the exact histogram at tick time.
         sim, monitor = make_monitor()
-        monitor.track_quantile("rtt_p95", "reliable.rtt", 0.95)
         histogram = sim.metrics.histogram("reliable.rtt")
+        monitor.track_value("rtt_p95", lambda _now: histogram.quantile(0.95))
         for v in (0.1, 0.2, 0.3):
             histogram.observe(v)
         sim.run(until=2.0)

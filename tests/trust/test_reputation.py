@@ -1,13 +1,10 @@
-"""ReputationLedger and ReputationAdjuster (E22)."""
+"""ReputationLedger (E22)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.simulator import Simulator
 from repro.store import Journal, StableStorage
-from repro.telemetry.health import KnobArbiter, quarantine_knob
-from repro.trust import (BANDS, OUTCOME_WEIGHTS, ReputationAdjuster,
-                         ReputationLedger, TrustLedger)
+from repro.trust import BANDS, OUTCOME_WEIGHTS, ReputationLedger, TrustLedger
 
 
 # -- scores ------------------------------------------------------------------------
@@ -130,42 +127,3 @@ def test_journal_recovery_reproduces_scores_bit_identically():
     assert ledger.recover() == {"replayed": 3}
     assert ledger.snapshot(probe) == before                # ...bit-identical
     assert ledger.outcomes == {"validated": 1, "quarantine": 1, "alert": 1}
-
-
-# -- the adjuster ------------------------------------------------------------------
-
-
-def test_adjuster_tightens_suspects_and_releases_on_recovery():
-    sim = Simulator(seed=1)
-    arbiter = KnobArbiter(sim)
-    applied = {}
-    arbiter.register(quarantine_knob("d0"), 4,
-                     lambda value: applied.__setitem__("d0", value))
-    ledger = ReputationLedger(decay=0.0)
-    adjuster = ReputationAdjuster(sim, ledger, arbiter, interval=1.0)
-    adjuster.add_rule(quarantine_knob,
-                      suspect=lambda base: max(1, base - 2))
-    assert applied["d0"] == 4                              # base applied
-
-    ledger.record("d0", "quarantine", 0.0)                 # 0.25 -> suspect
-    sim.run(until=1.5)
-    assert applied["d0"] == 2
-    assert arbiter.winner(quarantine_knob("d0")) == "reputation"
-
-    for _ in range(10):                                    # climb to probation
-        ledger.record("d0", "validated", sim.now)
-    sim.run(until=3.5)
-    # No probation rule: the claim is withdrawn and the base returns.
-    assert applied["d0"] == 4
-    assert arbiter.winner(quarantine_knob("d0")) is None
-
-
-def test_adjuster_skips_unregistered_knobs():
-    sim = Simulator(seed=2)
-    arbiter = KnobArbiter(sim)
-    ledger = ReputationLedger(decay=0.0)
-    adjuster = ReputationAdjuster(sim, ledger, arbiter, interval=1.0)
-    adjuster.add_rule(quarantine_knob, suspect=lambda base: 1)
-    ledger.record("d9", "quarantine", 0.0)
-    sim.run(until=2.0)                                     # no knob, no crash
-    assert sim.metrics.value("health.knob_adjustments") in (None, 0)
