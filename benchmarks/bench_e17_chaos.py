@@ -26,16 +26,15 @@ Quick mode (``E17_QUICK=1``, used by CI): fewer seeds and intensities,
 weak-ordering assertions only.
 """
 
-import os
-
 import pytest
 
+from conftest import quick_mode
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import ExperimentTable, SafeguardConfig
 from repro.scenarios.sweep import run_sweep
 from repro.sim.faults import DeviceCrash, FaultPlan, HandlerGlitch, InjectedFault, LinkDegradation
 
-QUICK = os.environ.get("E17_QUICK", "") not in ("", "0")
+QUICK = quick_mode("E17")
 
 SEEDS = (3, 4) if QUICK else (3, 4, 5, 6)
 INTENSITIES = (0.0, 0.6) if QUICK else (0.0, 0.3, 0.6, 0.9)

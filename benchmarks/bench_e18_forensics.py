@@ -29,16 +29,16 @@ count-level assertions only.
 
 import hashlib
 import json
-import os
 
 import pytest
 
+from conftest import quick_mode
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
 from repro.scenarios.harness import ExperimentTable, SafeguardConfig
 from repro.scenarios.sweep import run_sweep
 from repro.sim.faults import FaultPlan, LinkDegradation
 
-QUICK = os.environ.get("E18_QUICK", "") not in ("", "0")
+QUICK = quick_mode("E18")
 
 SEEDS = (3,) if QUICK else (3, 4, 5)
 INTENSITIES = (0.6,) if QUICK else (0.3, 0.6, 0.9)

@@ -13,34 +13,34 @@ Two claims, one experiment file:
   ``events.jsonl``, ``manifest.json``) land in ``benchmarks/results/``.
 
 * **Overhead** — the same full-threat confrontation run with spans
-  enabled vs disabled, interleaved best-of-N: tracing costs <= 5% wall
-  clock (the F2 companion number).  Lazy roots are what make this hold —
+  enabled vs disabled in alternating pairs: the median pair costs <= 5%
+  wall clock (the F2 companion number).  Lazy roots are what make this hold —
   routine periodic ticks and reliable heartbeats with nothing traceable
   in flight mint no spans at all.
 
 Results export to ``benchmarks/results/BENCH_E19.json``.
 
-Quick mode (``E19_QUICK=1``, used by CI): fewer timing repetitions.
+Quick mode (``E19_QUICK=1``, used by CI): fewer timing pairs.
 """
 
-import json
 import os
-import time
 
+from conftest import BenchResults
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
-from repro.scenarios.harness import ExperimentTable, SafeguardConfig
+from repro.scenarios.harness import (ExperimentTable, SafeguardConfig,
+                                     paired_overhead)
 from repro.sim.faults import FaultPlan, NetworkPartition
 from repro.telemetry import explain
 
-QUICK = os.environ.get("E19_QUICK", "") not in ("", "0")
+BENCH = BenchResults(
+    "E19", "Causal telemetry: reconstruction fidelity and tracing overhead",
+    {"overhead": "percent wall clock", "reconstruction": "spans"})
+QUICK = BENCH.quick
 
-REPS = 3 if QUICK else 7
 HORIZON = 150.0
 OVERHEAD_BUDGET_PCT = 5.0
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E19.json")
-BUNDLE_DIR = os.path.join(RESULTS_DIR, "telemetry_bundle")
+BUNDLE_DIR = os.path.join(BENCH.dir, "telemetry_bundle")
 
 #: The causal stages the explanation must contain, in story order.
 EXPECTED_STAGES = (
@@ -49,24 +49,6 @@ EXPECTED_STAGES = (
     "watchdog.kill_order", "watchdog.deactivate", "reliable.dead_letter",
     "safeguard.quarantine",
 )
-
-
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E19.json (tests run in either order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E19",
-        "title": "Causal telemetry: reconstruction fidelity and tracing "
-                 "overhead",
-        "unit": {"overhead": "percent wall clock", "reconstruction": "spans"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
 
 
 def takedown_scenario(seed: int = 11, fault_plan=None) -> ConfrontationScenario:
@@ -137,7 +119,7 @@ def test_e19_causal_reconstruction(experiment):
               encoding="utf-8") as handle:
         handle.write(explanation.render() + "\n")
 
-    _export("reconstruction", {
+    BENCH.export("reconstruction", {
         "trace_id": trace_id,
         "spans": len(explanation),
         "subjects": explanation.subjects(),
@@ -146,62 +128,51 @@ def test_e19_causal_reconstruction(experiment):
         "quarantine_path": path,
         "quarantines": summary["quarantines"],
         "compromised_ever": summary["compromised_ever"],
-        "bundle_dir": os.path.relpath(BUNDLE_DIR, RESULTS_DIR),
+        "bundle_dir": os.path.relpath(BUNDLE_DIR, BENCH.dir),
     })
 
 
 # -- overhead -----------------------------------------------------------------------
 
 
-def _time_run(spans_enabled: bool) -> tuple:
-    scenario = overhead_scenario(spans_enabled)
-    start = time.perf_counter()
-    scenario.run(until=HORIZON)
-    elapsed = time.perf_counter() - start
-    return elapsed, scenario.sim.events_processed, \
-        scenario.sim.telemetry.stats()["spans"]
-
-
 def test_e19_tracing_overhead(experiment):
-    _time_run(True)                        # warm-up both code paths
-    _time_run(False)
-    on_times, off_times = [], []
-    events = spans = 0
-    for _ in range(REPS):                  # interleaved: drift cancels
-        elapsed, events, spans = _time_run(True)
-        on_times.append(elapsed)
-        elapsed, _, _ = _time_run(False)
-        off_times.append(elapsed)
+    last = {}
 
-    best_on, best_off = min(on_times), min(off_times)
-    overhead_pct = (best_on - best_off) / best_off * 100.0
+    def arm(spans_enabled: bool):
+        def run() -> None:
+            last[spans_enabled] = scenario = overhead_scenario(spans_enabled)
+            scenario.run(until=HORIZON)
+        return run
+
+    result = paired_overhead(arm(True), arm(False), pairs=BENCH.pairs,
+                             budget_pct=OVERHEAD_BUDGET_PCT)
+    report = result.report()
+    events = last[True].sim.events_processed
+    spans = last[True].sim.telemetry.stats()["spans"]
+    on, off = report["median_seconds_treated"], report["median_seconds_baseline"]
 
     table = ExperimentTable(
         f"E19b tracing overhead (full defense, all threats, horizon "
-        f"{HORIZON:.0f}, best-of-{REPS} interleaved)",
-        ["arm", "best_sec", "events_per_sec", "spans_retained"],
+        f"{HORIZON:.0f}, median of {BENCH.pairs} alternating pairs)",
+        ["arm", "median_sec", "events_per_sec", "spans_retained"],
     )
-    table.add_row("spans on", best_on, events / best_on, spans)
-    table.add_row("spans off", best_off, events / best_off, 0)
-    table.add_row("overhead %", overhead_pct, 0.0, 0)
+    table.add_row("spans on", on, events / on, spans)
+    table.add_row("spans off", off, events / off, 0)
+    table.add_row("overhead", result.summary(), "-", "-")
     experiment(table)
 
-    _export("overhead", {
-        "protocol": f"best-of-{REPS} interleaved runs of the full-defense "
-                    f"all-threats confrontation to t={HORIZON:.0f}; "
-                    "spans on vs off back-to-back so machine drift cancels",
-        "budget_pct": OVERHEAD_BUDGET_PCT,
-        "overhead_pct": overhead_pct,
-        "best_seconds_on": best_on,
-        "best_seconds_off": best_off,
+    BENCH.export("overhead", {
+        "protocol": f"{BENCH.pairs} alternating pairs (paired_overhead) "
+                    "of the full-defense all-threats confrontation, built "
+                    f"and run to t={HORIZON:.0f}, spans on vs off",
+        **report,
         "events_processed": events,
         "spans_retained": spans,
-        "quick": QUICK,
     })
 
     # Lazy roots keep routine traffic span-free: the retained set is the
     # causally interesting handful, not one span per heartbeat.
     assert 0 < spans < 200, spans
-    assert overhead_pct <= OVERHEAD_BUDGET_PCT, (
-        f"tracing overhead {overhead_pct:.2f}% exceeds "
+    assert result.median_pct <= OVERHEAD_BUDGET_PCT, (
+        f"tracing overhead {result.median_pct:.2f}% exceeds "
         f"{OVERHEAD_BUDGET_PCT}% budget")

@@ -31,47 +31,30 @@ storm run also writes a telemetry bundle (``metrics.prom``,
 CI artifact.
 
 Quick mode (``E20_QUICK=1``, used by CI): one storm seed, fewer timing
-repetitions.
+pairs.
 """
 
-import json
 import os
-import time
 
+from conftest import BenchResults
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
-from repro.scenarios.harness import ExperimentTable, SafeguardConfig
+from repro.scenarios.harness import (ExperimentTable, SafeguardConfig,
+                                     paired_overhead)
 from repro.sim.faults import FaultPlan, LinkDegradation, NetworkPartition
 from repro.telemetry.health import CompactionController
 
-QUICK = os.environ.get("E20_QUICK", "") not in ("", "0")
+BENCH = BenchResults(
+    "E20", "Fleet health monitor: adaptive quarantine, sized compaction, "
+           "and monitor overhead",
+    {"quarantines": "devices", "journal_bytes": "bytes",
+     "overhead": "percent wall clock"})
+QUICK = BENCH.quick
 
 STORM_SEEDS = (5,) if QUICK else (5, 11, 23)
-REPS = 3 if QUICK else 7
 OVERHEAD_HORIZON = 150.0
 OVERHEAD_BUDGET_PCT = 5.0
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E20.json")
-BUNDLE_DIR = os.path.join(RESULTS_DIR, "health_bundle")
-
-
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E20.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E20",
-        "title": "Fleet health monitor: adaptive quarantine, sized "
-                 "compaction, and monitor overhead",
-        "unit": {"quarantines": "devices", "journal_bytes": "bytes",
-                 "overhead": "percent wall clock"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+BUNDLE_DIR = os.path.join(BENCH.dir, "health_bundle")
 
 
 # -- arm builders -------------------------------------------------------------------
@@ -161,7 +144,7 @@ def test_e20_adaptive_quarantine_under_transient_storms(experiment):
     table.add_row("TOTAL", fixed_total, adaptive_total, 0)
     experiment(table)
 
-    _export("transient_storms", {
+    BENCH.export("transient_storms", {
         "protocol": "LinkDegradation loss 0.65 for t=5..40 with "
                     "ThreatConfig.none(): every self-quarantine is a false "
                     "positive; fixed quarantine_after=3 vs link.degraded-"
@@ -171,8 +154,7 @@ def test_e20_adaptive_quarantine_under_transient_storms(experiment):
         "false_quarantines_adaptive": adaptive_total,
         "per_seed": [{"seed": s, "fixed": f, "adaptive": a,
                       "alerts_fired": al} for s, f, a, al in rows],
-        "bundle_dir": os.path.relpath(BUNDLE_DIR, RESULTS_DIR),
-        "quick": QUICK,
+        "bundle_dir": os.path.relpath(BUNDLE_DIR, BENCH.dir),
     })
 
     assert fixed_total >= 1, "storm produced no false quarantines to prevent"
@@ -212,7 +194,7 @@ def test_e20_adaptive_is_no_worse_under_true_partition(experiment):
                   adaptive["quarantine_adjustments"])
     experiment(table)
 
-    _export("true_partition", {
+    BENCH.export("true_partition", {
         "protocol": f"worm at t=20 compromises {probe.worm.initial_targets}; "
                     f"{drone} partitioned at t=20.5: its retries never ack, "
                     "so fleet RTT estimators stay calm and the threshold "
@@ -269,7 +251,7 @@ def test_e20_sized_compaction_bounds_journals(experiment):
                       arms[name]["summary"]["compactions_sized"])
     experiment(table)
 
-    _export("compaction", {
+    BENCH.export("compaction", {
         "protocol": "worm-driven audit pressure; both arms publish the "
                     "same store.journal_bytes SLI; time arm checkpoints "
                     "every 45s, size arm checkpoints any journal over "
@@ -296,51 +278,41 @@ def test_e20_sized_compaction_bounds_journals(experiment):
 # -- monitor overhead ---------------------------------------------------------------
 
 
-def _time_run(health: bool) -> tuple:
-    scenario = overhead_scenario(health)
-    start = time.perf_counter()
-    scenario.run(until=OVERHEAD_HORIZON)
-    elapsed = time.perf_counter() - start
-    return elapsed, scenario.sim.events_processed
-
-
 def test_e20_monitor_overhead(experiment):
-    _time_run(True)                        # warm-up both code paths
-    _time_run(False)
-    on_times, off_times = [], []
-    events = 0
-    for _ in range(REPS):                  # interleaved: drift cancels
-        elapsed, events = _time_run(True)
-        on_times.append(elapsed)
-        elapsed, _ = _time_run(False)
-        off_times.append(elapsed)
+    last = {}
 
-    best_on, best_off = min(on_times), min(off_times)
-    overhead_pct = (best_on - best_off) / best_off * 100.0
+    def arm(health: bool):
+        def run() -> None:
+            last[health] = scenario = overhead_scenario(health)
+            scenario.run(until=OVERHEAD_HORIZON)
+        return run
+
+    result = paired_overhead(arm(True), arm(False), pairs=BENCH.pairs,
+                             budget_pct=OVERHEAD_BUDGET_PCT)
+    report = result.report()
+    events = last[True].sim.events_processed
+    on, off = report["median_seconds_treated"], report["median_seconds_baseline"]
 
     table = ExperimentTable(
         f"E20d monitor overhead (full defense, all threats, horizon "
-        f"{OVERHEAD_HORIZON:.0f}, best-of-{REPS} interleaved)",
-        ["arm", "best_sec", "events_per_sec"],
+        f"{OVERHEAD_HORIZON:.0f}, median of {BENCH.pairs} alternating "
+        f"pairs)",
+        ["arm", "median_sec", "events_per_sec"],
     )
-    table.add_row("health on", best_on, events / best_on)
-    table.add_row("health off", best_off, events / best_off)
-    table.add_row("overhead %", overhead_pct, 0.0)
+    table.add_row("health on", on, events / on)
+    table.add_row("health off", off, events / off)
+    table.add_row("overhead", result.summary(), "-")
     experiment(table)
 
-    _export("overhead", {
-        "protocol": f"best-of-{REPS} interleaved runs of the full-defense "
-                    f"all-threats confrontation to t={OVERHEAD_HORIZON:.0f}; "
-                    "health stack (SLIs + alert engine + closed loops) on "
-                    "vs off back-to-back so machine drift cancels",
-        "budget_pct": OVERHEAD_BUDGET_PCT,
-        "overhead_pct": overhead_pct,
-        "best_seconds_on": best_on,
-        "best_seconds_off": best_off,
+    BENCH.export("overhead", {
+        "protocol": f"{BENCH.pairs} alternating pairs (paired_overhead) "
+                    "of the full-defense all-threats confrontation, built "
+                    f"and run to t={OVERHEAD_HORIZON:.0f}, health stack "
+                    "(SLIs + alert engine + closed loops) on vs off",
+        **report,
         "events_processed": events,
-        "quick": QUICK,
     })
 
-    assert overhead_pct <= OVERHEAD_BUDGET_PCT, (
-        f"monitor overhead {overhead_pct:.2f}% exceeds "
+    assert result.median_pct <= OVERHEAD_BUDGET_PCT, (
+        f"monitor overhead {result.median_pct:.2f}% exceeds "
         f"{OVERHEAD_BUDGET_PCT}% budget")

@@ -29,47 +29,31 @@ forgery run also dumps the gateway's audit-chained rejection log to
 ``benchmarks/results/authz_rejects.jsonl`` — the CI artifact showing
 *every* rejected order with its reason.
 
-Quick mode (``E21_QUICK=1``, used by CI): one seed, fewer timing reps.
+Quick mode (``E21_QUICK=1``, used by CI): one seed, fewer timing pairs.
 """
 
 import hashlib
 import json
 import os
-import time
 
+from conftest import BenchResults
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
-from repro.scenarios.harness import ExperimentTable, SafeguardConfig
+from repro.scenarios.harness import (ExperimentTable, SafeguardConfig,
+                                     paired_overhead)
 from repro.scenarios.sweep import run_sweep
 
-QUICK = os.environ.get("E21_QUICK", "") not in ("", "0")
+BENCH = BenchResults(
+    "E21", "Cryptographic execution authorization: signed envelopes, "
+           "replay-proof gateway, forgery/replay/stolen-key campaign",
+    {"healthy_killed": "devices", "overhead": "percent wall clock"})
+QUICK = BENCH.quick
 
 SEEDS = (3,) if QUICK else (3, 11, 23)
 HORIZON = 60.0
-REPS = 4 if QUICK else 7
 STOLEN_BUDGET = 3
 OVERHEAD_BUDGET_PCT = 5.0
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E21.json")
-REJECTS_PATH = os.path.join(RESULTS_DIR, "authz_rejects.jsonl")
-
-
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E21.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E21",
-        "title": "Cryptographic execution authorization: signed envelopes, "
-                 "replay-proof gateway, forgery/replay/stolen-key campaign",
-        "unit": {"healthy_killed": "devices", "overhead": "percent wall clock"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+REJECTS_PATH = os.path.join(BENCH.dir, "authz_rejects.jsonl")
 
 
 def trace_digest(sim) -> str:
@@ -160,7 +144,7 @@ def test_e21_forged_and_replayed_orders(experiment):
         table.add_row(*row)
     experiment(table)
 
-    _export("forgery_replay", {
+    BENCH.export("forgery_replay", {
         "protocol": "unsigned vs signed_commands arms of the same "
                     "confrontation; ForgedKillOrder + ReplayedKillOrder "
                     "aim the watchdog's own kill channel at healthy "
@@ -170,8 +154,7 @@ def test_e21_forged_and_replayed_orders(experiment):
         "healthy_killed_signed": signed_killed,
         "per_seed": [{"seed": s, "unsigned": u, "signed": g, "rejects": r}
                      for s, u, g, r in rows],
-        "rejects_artifact": os.path.relpath(REJECTS_PATH, RESULTS_DIR),
-        "quick": QUICK,
+        "rejects_artifact": os.path.relpath(REJECTS_PATH, BENCH.dir),
     })
 
     assert unsigned_killed >= 1, \
@@ -182,7 +165,6 @@ def test_e21_forged_and_replayed_orders(experiment):
 
 def _dump_rejects(scenario: ConfrontationScenario) -> None:
     """The CI artifact: every rejected order, audit-chained."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
     audit = scenario.authz_audit
     assert audit is not None and audit.verify()
     with open(REJECTS_PATH, "w", encoding="utf-8") as handle:
@@ -225,7 +207,7 @@ def test_e21_stolen_key_is_contained_by_budget_and_freeze(experiment):
         table.add_row(*row)
     experiment(table)
 
-    _export("stolen_key", {
+    BENCH.export("stolen_key", {
         "protocol": f"StolenKeyRogue exfiltrates the watchdog key and "
                     f"sprays valid kill orders; gateway budget "
                     f"{STOLEN_BUDGET}/60s with freeze_on_budget",
@@ -233,63 +215,54 @@ def test_e21_stolen_key_is_contained_by_budget_and_freeze(experiment):
         "budget": STOLEN_BUDGET,
         "per_seed": [{"seed": s, "unsigned": u, "signed": g, "freezes": f}
                      for s, u, g, f in rows],
-        "quick": QUICK,
     })
 
 
 # -- overhead -----------------------------------------------------------------------
 
 
-def _time_run(signed: bool):
-    # Worm-only: both arms kill exactly the same compromised devices, so
-    # the *only* difference is signing + verification + gateway
-    # accounting on the genuine command path.  (The forgery campaign
-    # would confound the timing: its wrongful kills shrink the unsigned
-    # arm's workload.)
-    scenario = build_scenario(SEEDS[0], signed, "worm_only")
-    start = time.perf_counter()
-    scenario.run(until=HORIZON)
-    return time.perf_counter() - start, scenario.sim.events_processed
-
-
 def test_e21_crypto_overhead(experiment):
-    _time_run(True)                        # warm-up both code paths
-    _time_run(False)
-    on_times, off_times = [], []
-    events = 0
-    for _ in range(REPS):                  # interleaved: drift cancels
-        elapsed, events = _time_run(True)
-        on_times.append(elapsed)
-        elapsed, _ = _time_run(False)
-        off_times.append(elapsed)
+    last = {}
 
-    best_on, best_off = min(on_times), min(off_times)
-    overhead_pct = (best_on - best_off) / best_off * 100.0
+    def arm(signed: bool):
+        # Worm-only: both arms kill exactly the same compromised devices,
+        # so the *only* difference is signing + verification + gateway
+        # accounting on the genuine command path.  (The forgery campaign
+        # would confound the timing: its wrongful kills shrink the
+        # unsigned arm's workload.)
+        def run() -> None:
+            last[signed] = scenario = build_scenario(SEEDS[0], signed,
+                                                     "worm_only")
+            scenario.run(until=HORIZON)
+        return run
+
+    result = paired_overhead(arm(True), arm(False), pairs=BENCH.pairs,
+                             budget_pct=OVERHEAD_BUDGET_PCT)
+    report = result.report()
+    events = last[True].sim.events_processed
+    on, off = report["median_seconds_treated"], report["median_seconds_baseline"]
 
     table = ExperimentTable(
         f"E21c crypto overhead (worm-only campaign, identical workload, "
-        f"horizon {HORIZON:.0f}, best-of-{REPS} interleaved)",
-        ["arm", "best_sec", "events_per_sec"],
+        f"horizon {HORIZON:.0f}, median of {BENCH.pairs} alternating "
+        f"pairs)",
+        ["arm", "median_sec", "events_per_sec"],
     )
-    table.add_row("signed", best_on, events / best_on)
-    table.add_row("unsigned", best_off, events / best_off)
-    table.add_row("overhead %", overhead_pct, 0.0)
+    table.add_row("signed", on, events / on)
+    table.add_row("unsigned", off, events / off)
+    table.add_row("overhead", result.summary(), "-")
     experiment(table)
 
-    _export("overhead", {
-        "protocol": f"best-of-{REPS} interleaved runs of the worm-only "
-                    f"confrontation to t={HORIZON:.0f} (identical workload "
-                    "in both arms); signed_commands on vs off back-to-back "
-                    "so machine drift cancels",
-        "budget_pct": OVERHEAD_BUDGET_PCT,
-        "overhead_pct": overhead_pct,
-        "best_seconds_signed": best_on,
-        "best_seconds_unsigned": best_off,
-        "quick": QUICK,
+    BENCH.export("overhead", {
+        "protocol": f"{BENCH.pairs} alternating pairs (paired_overhead) "
+                    "of the worm-only confrontation (identical workload in "
+                    f"both arms), built and run to t={HORIZON:.0f}, "
+                    "signed_commands on vs off",
+        **report,
     })
 
-    assert overhead_pct <= OVERHEAD_BUDGET_PCT, (
-        f"crypto overhead {overhead_pct:.2f}% exceeds "
+    assert result.median_pct <= OVERHEAD_BUDGET_PCT, (
+        f"crypto overhead {result.median_pct:.2f}% exceeds "
         f"{OVERHEAD_BUDGET_PCT}% budget")
 
 
@@ -306,10 +279,9 @@ def test_e21_signed_runs_replay_deterministically():
     assert parallel[1] == serial
     assert serial["trace_digest"] == parallel[0]["trace_digest"]
 
-    _export("determinism", {
+    BENCH.export("determinism", {
         "protocol": "run_sweep workers=1 vs workers=2 on the signed full "
                     "campaign; full summary + trace digest compared",
         "trace_digest": serial["trace_digest"],
         "identical": True,
-        "quick": QUICK,
     })

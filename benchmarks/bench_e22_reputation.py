@@ -41,6 +41,7 @@ Quick mode (``E22_QUICK=1``, used by CI): one seed, two shard counts.
 import json
 import os
 
+from conftest import BenchResults
 from repro.attacks.injector import AttackInjector
 from repro.attacks.reputation import LeaseAbuser, SlowBurnRogue
 from repro.attacks.cyber import MalevolentPayload
@@ -57,33 +58,17 @@ from repro.scenarios.reputation import (ReputationScenario,
 from repro.sim.simulator import Simulator
 from repro.trust.reputation import ReputationLedger
 
-QUICK = os.environ.get("E22_QUICK", "") not in ("", "0")
+BENCH = BenchResults(
+    "E22", "Reputation-weighted autonomy and leased emergency powers: "
+           "earned-trust quorum weights, budget scaling, and "
+           "partition-survivable scoped leases",
+    {"containment": "ticks", "vents": "actuations"})
+QUICK = BENCH.quick
 
 SEEDS = (11,) if QUICK else (11, 23, 47)
 SHARD_COUNTS = (1, 2) if QUICK else (1, 2, 3)
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E22.json")
-LEASES_PATH = os.path.join(RESULTS_DIR, "leases.jsonl")
-
-
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E22.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E22",
-        "title": "Reputation-weighted autonomy and leased emergency "
-                 "powers: earned-trust quorum weights, budget scaling, "
-                 "and partition-survivable scoped leases",
-        "unit": {"containment": "ticks", "vents": "actuations"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+LEASES_PATH = os.path.join(BENCH.dir, "leases.jsonl")
 
 
 # -- weighted containment ------------------------------------------------------------
@@ -123,7 +108,7 @@ def test_e22_weighted_containment_beats_unweighted(experiment):
         table.add_row(*row)
     experiment(table)
 
-    _export("weighted_containment", {
+    BENCH.export("weighted_containment", {
         "protocol": "identical slow-burn rogue (banks 2 extra good "
                     "reports/tick for 10 ticks, then ramps +6 temp/tick); "
                     "weighted arm scales the warden kill line by the "
@@ -132,7 +117,6 @@ def test_e22_weighted_containment_beats_unweighted(experiment):
         "seeds": list(SEEDS),
         "per_seed": [{"seed": s, "weighted": w, "unweighted": u,
                       "ticks_saved": d} for s, w, u, d in rows],
-        "quick": QUICK,
     })
 
 
@@ -170,7 +154,6 @@ def test_e22_leases_keep_partition_minority_serving(experiment):
         assert not late, f"lease exercised at/past expiry: {late}"
 
         if seed == SEEDS[0]:
-            os.makedirs(RESULTS_DIR, exist_ok=True)
             with open(LEASES_PATH, "w", encoding="utf-8") as handle:
                 for event in events:
                     handle.write(json.dumps(event, sort_keys=True) + "\n")
@@ -189,7 +172,7 @@ def test_e22_leases_keep_partition_minority_serving(experiment):
         table.add_row(*row)
     experiment(table)
 
-    _export("leased_degraded_mode", {
+    BENCH.export("leased_degraded_mode", {
         "protocol": "partition cuts group B + overseer from the warden "
                     "for ticks [20,40); vent approvals stall and devices "
                     "fall back to quorum=False self-vents; leased arm "
@@ -200,8 +183,7 @@ def test_e22_leases_keep_partition_minority_serving(experiment):
             {"seed": s, "leased_b_vents": a, "unleased_b_vents": b,
              "no_quorum_rejects": r, "grants": g, "revocations": v}
             for s, a, b, r, g, v in rows],
-        "leases_artifact": os.path.relpath(LEASES_PATH, RESULTS_DIR),
-        "quick": QUICK,
+        "leases_artifact": os.path.relpath(LEASES_PATH, BENCH.dir),
     })
     assert os.path.exists(LEASES_PATH)
 
@@ -268,14 +250,13 @@ def test_e22_slow_burn_banking_drains_faster_than_it_banks(experiment):
     table.add_row(attack.bank_ticks, banked_score, drain_ticks)
     experiment(table)
 
-    _export("slow_burn", {
+    BENCH.export("slow_burn", {
         "protocol": "SlowBurnRogue banks 8 extra validated outcomes then "
                     "strikes; drain = alert outcomes needed to fall back "
                     "to the baseline score",
         "banked_ticks": attack.bank_ticks,
         "banked_score": banked_score,
         "drain_ticks": drain_ticks,
-        "quick": QUICK,
     })
 
 
@@ -338,7 +319,7 @@ def test_e22_lease_abuser_is_rejected_wholesale(experiment):
         table.add_row(reason, rejects[reason])
     experiment(table)
 
-    _export("lease_abuse", {
+    BENCH.export("lease_abuse", {
         "protocol": "LeaseAbuser taps genuine grants off the wire, "
                     "replays each after its own expiry, and forges "
                     "grants naming itself grantee; registry admits "
@@ -346,7 +327,6 @@ def test_e22_lease_abuser_is_rejected_wholesale(experiment):
         "replays": record.detail["replays_sent"],
         "forgeries": record.detail["forgeries_sent"],
         "rejected_by_reason": rejects,
-        "quick": QUICK,
     })
 
 
@@ -365,12 +345,11 @@ def test_e22_full_spec_is_shard_invariant():
         assert run.summary == reference.summary, \
             f"summary diverged at n_shards={n}"
 
-    _export("determinism", {
+    BENCH.export("determinism", {
         "protocol": f"full default spec (weighted + leased + rogue + "
                     f"partition) at shard counts {list(SHARD_COUNTS)}; "
                     "merged trace digest and summary compared",
         "shard_counts": list(SHARD_COUNTS),
         "trace_digest": reference.trace_digest,
         "identical": True,
-        "quick": QUICK,
     })

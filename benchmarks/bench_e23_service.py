@@ -20,63 +20,47 @@ Three claims, one experiment file:
   ``observability=False``, on a fleet-shaped serving mix (each
   iteration vector-evaluates an F4-scale batch of 2048 device rows
   plus two single-device ``/evaluate`` calls), measured by direct
-  dispatch with the two arms alternating at single-iteration
-  granularity so transport noise and host-level machine drift land on
-  both arms equally (median ratio across trials).  The
+  dispatch in alternating pairs so transport noise stays out and
+  host-level drift lands on both arms alike (median pair ratio).  The
   fixed per-request instrumentation cost (~10us: three spans, four
   counters, a histogram observation, an access record) is reported
-  alongside, un-asserted, from an ``/evaluate``-only arm.
+  alongside, un-asserted, from an ``/evaluate``-only pair of arms.
 
 Results export to ``benchmarks/results/BENCH_E23.json``; the
 concurrency run streams its structured access log to
 ``benchmarks/results/api_access.jsonl`` — the CI artifact holding one
 JSONL record per served request.
 
-Quick mode (``E23_QUICK=1``, used by CI): fewer requests and reps.
+Quick mode (``E23_QUICK=1``, used by CI): fewer requests and pairs.
 """
 
 import http.client
 import json
 import os
-import statistics
 import threading
 import time
 
+from conftest import BenchResults
 from repro.api.http import ServerThread
+from repro.api.runtime import ManualClock
 from repro.api.service import ControlPlane, ControlPlaneConfig
-from repro.scenarios.harness import ExperimentTable
+from repro.scenarios.harness import ExperimentTable, paired_overhead
 
-QUICK = os.environ.get("E23_QUICK", "") not in ("", "0")
+BENCH = BenchResults(
+    "E23", "Always-on policy control plane with end-to-end request "
+           "observability",
+    {"latency": "milliseconds", "throughput": "requests/sec",
+     "overhead": "percent wall clock"})
+QUICK = BENCH.quick
 
 CLIENTS = 32
 REQUESTS_PER_CLIENT = 8 if QUICK else 25
 OVERHEAD_ITERATIONS = 100
 OVERHEAD_BATCH_ROWS = 2048
-REPS = 7 if QUICK else 9
+EVALUATE_ONLY_REQUESTS = 2000
 OVERHEAD_BUDGET_PCT = 5.0
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E23.json")
-ACCESS_LOG_PATH = os.path.join(RESULTS_DIR, "api_access.jsonl")
-
-
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E23.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E23",
-        "title": "Always-on policy control plane with end-to-end request "
-                 "observability",
-        "unit": {"latency": "milliseconds", "throughput": "requests/sec",
-                 "overhead": "percent wall clock"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+ACCESS_LOG_PATH = os.path.join(BENCH.dir, "api_access.jsonl")
 
 
 def percentile(sorted_values: list, q: float) -> float:
@@ -125,7 +109,6 @@ def _client_worker(host: str, port: int, n_requests: int, worker_id: int,
 
 
 def test_e23_concurrent_serving_with_replayable_traces(experiment):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
     plane = ControlPlane(config=ControlPlaneConfig(
         workers=2, monitor_interval=0.25,
         access_log_path=ACCESS_LOG_PATH))
@@ -207,7 +190,7 @@ def test_e23_concurrent_serving_with_replayable_traces(experiment):
     table.add_row("p99_ms", p99)
     experiment(table)
 
-    _export("concurrency", {
+    BENCH.export("concurrency", {
         "protocol": f"{CLIENTS} client threads x {REQUESTS_PER_CLIENT} "
                     "POST /evaluate over keep-alive connections (1 in 3 "
                     "triggers the guard's substitution path); one sampled "
@@ -218,9 +201,8 @@ def test_e23_concurrent_serving_with_replayable_traces(experiment):
         "latency_ms": {"p50": p50, "p95": p95, "p99": p99},
         "explained_trace": sample,
         "explained_kinds": explained["kinds"],
-        "access_log_artifact": os.path.relpath(ACCESS_LOG_PATH, RESULTS_DIR),
+        "access_log_artifact": os.path.relpath(ACCESS_LOG_PATH, BENCH.dir),
         "access_log_records": len(records),
-        "quick": QUICK,
     })
 
 
@@ -288,7 +270,7 @@ def test_e23_service_self_alerts_under_overload(experiment):
     table.add_row("alert_fired", 1.0)
     experiment(table)
 
-    _export("overload", {
+    BENCH.export("overload", {
         "protocol": "slow sleep jobs saturate the bounded queue "
                     "(capacity 4, 1 worker); the service 503s the "
                     "overflow and its own AlertEngine fires "
@@ -298,7 +280,6 @@ def test_e23_service_self_alerts_under_overload(experiment):
         "alert": "jobs-queue-saturation",
         "alert_trace_id": alert.trace_id,
         "health_status": health["status"],
-        "quick": QUICK,
     })
 
 
@@ -323,76 +304,10 @@ def _fleet_iteration(plane, i: int, benign: bytes, hot: bytes,
     plane.handle_request("POST", "/batch", body=batch)
 
 
-def _overhead_trial(batch: bytes) -> tuple:
-    """``(overhead_pct, seconds_on, seconds_off)`` from one trial.
-
-    The instrumented and disabled planes alternate at single-iteration
-    granularity (order flipping every iteration), each iteration timed
-    separately and accumulated per arm — so a host-level slow phase
-    lands on both arms in equal measure instead of poisoning one whole
-    arm's timing, which coarser rep-at-a-time interleaving cannot
-    guarantee on a shared box.
-    """
-    import gc
-
-    from repro.api.runtime import ManualClock
-
-    plane_on = ControlPlane(
-        config=ControlPlaneConfig(workers=0, observability=True),
-        clock=ManualClock())
-    plane_off = ControlPlane(
-        config=ControlPlaneConfig(workers=0, observability=False),
-        clock=ManualClock())
-    benign = BENIGN.encode("utf-8")
-    hot = HOT.encode("utf-8")
-    try:
-        for i in range(5):                 # warm caches and compilers
-            _fleet_iteration(plane_on, i, benign, hot, batch)
-            _fleet_iteration(plane_off, i, benign, hot, batch)
-        gc.collect()
-        gc.disable()                       # GC pauses are common-mode noise
-        acc_on = acc_off = 0.0
-        clock = time.perf_counter
-        for i in range(OVERHEAD_ITERATIONS):
-            first, second = ((plane_on, plane_off) if i % 2 == 0
-                             else (plane_off, plane_on))
-            start = clock()
-            _fleet_iteration(first, i, benign, hot, batch)
-            middle = clock()
-            _fleet_iteration(second, i, benign, hot, batch)
-            end = clock()
-            if i % 2 == 0:
-                acc_on += middle - start
-                acc_off += end - middle
-            else:
-                acc_off += middle - start
-                acc_on += end - middle
-        gc.enable()
-        return ((acc_on - acc_off) / acc_off * 100.0, acc_on, acc_off)
-    finally:
-        plane_on.close()
-        plane_off.close()
-
-
-def _time_evaluate_only(observability: bool) -> float:
-    """Per-request wall time of /evaluate alone (the worst case for a
-    fixed per-request instrumentation cost); informational."""
-    from repro.api.runtime import ManualClock
-
-    plane = ControlPlane(
+def _plane(observability: bool) -> ControlPlane:
+    return ControlPlane(
         config=ControlPlaneConfig(workers=0, observability=observability),
         clock=ManualClock())
-    benign = BENIGN.encode("utf-8")
-    n = 2000
-    try:
-        for _ in range(200):
-            plane.handle_request("POST", "/evaluate", body=benign)
-        start = time.perf_counter()
-        for _ in range(n):
-            plane.handle_request("POST", "/evaluate", body=benign)
-        return (time.perf_counter() - start) / n
-    finally:
-        plane.close()
 
 
 def test_e23_observability_overhead(experiment):
@@ -404,61 +319,71 @@ def test_e23_observability_overhead(experiment):
         pytest.skip("fleet-shaped overhead arm needs the /batch path")
 
     batch = _batch_body()
-    _overhead_trial(batch)                 # warm-up both code paths
-    on_times, off_times, ratios = [], [], []
-    for _ in range(REPS):
-        pct, seconds_on, seconds_off = _overhead_trial(batch)
-        on_times.append(seconds_on)
-        off_times.append(seconds_off)
-        ratios.append(pct)
+    benign = BENIGN.encode("utf-8")
+    hot = HOT.encode("utf-8")
 
-    overhead_pct = statistics.median(ratios)
-    best_on, best_off = min(on_times), min(off_times)
-    requests = OVERHEAD_ITERATIONS * 3
+    def fleet_mix(plane):
+        def run() -> None:
+            for i in range(OVERHEAD_ITERATIONS):
+                _fleet_iteration(plane, i, benign, hot, batch)
+        return run
+
+    def evaluate_only(plane):
+        # The worst case for a fixed per-request instrumentation cost.
+        def run() -> None:
+            for _ in range(EVALUATE_ONLY_REQUESTS):
+                plane.handle_request("POST", "/evaluate", body=benign)
+        return run
+
+    planes = {True: _plane(True), False: _plane(False)}
+    try:
+        result = paired_overhead(
+            fleet_mix(planes[True]), fleet_mix(planes[False]),
+            pairs=BENCH.pairs, budget_pct=OVERHEAD_BUDGET_PCT)
+        fixed = paired_overhead(
+            evaluate_only(planes[True]), evaluate_only(planes[False]),
+            pairs=BENCH.pairs, budget_pct=OVERHEAD_BUDGET_PCT).report()
+    finally:
+        for plane in planes.values():
+            plane.close()
+
+    report = result.report()
+    on, off = report["median_seconds_treated"], report["median_seconds_baseline"]
     devices = OVERHEAD_ITERATIONS * (OVERHEAD_BATCH_ROWS + 2)
-
-    eval_on = _time_evaluate_only(True)
-    eval_off = _time_evaluate_only(False)
+    eval_on, eval_off = (fixed[key] / EVALUATE_ONLY_REQUESTS for key in
+                         ("median_seconds_treated", "median_seconds_baseline"))
     per_request_cost_us = (eval_on - eval_off) * 1e6
 
     table = ExperimentTable(
         f"E23c observability overhead (fleet mix: {OVERHEAD_ITERATIONS} x "
         f"[batch {OVERHEAD_BATCH_ROWS} rows + 2 evaluate], median of "
-        f"{REPS} iteration-interleaved trials)",
-        ["arm", "best_sec", "devices_per_sec"],
+        f"{BENCH.pairs} alternating pairs)",
+        ["arm", "median_sec", "devices_per_sec"],
     )
-    table.add_row("instrumented", best_on, devices / best_on)
-    table.add_row("disabled", best_off, devices / best_off)
-    table.add_row("overhead % (median)", overhead_pct, 0.0)
-    table.add_row("per-request cost (us)", per_request_cost_us, 0.0)
+    table.add_row("instrumented", on, devices / on)
+    table.add_row("disabled", off, devices / off)
+    table.add_row("overhead", result.summary(), "-")
+    table.add_row("per-request cost (us)", per_request_cost_us, "-")
     experiment(table)
 
-    _export("overhead", {
-        "protocol": f"median of {REPS} trials; each trial alternates "
-                    "the instrumented and disabled plane at "
-                    "single-iteration granularity (order flipping every "
-                    f"iteration) over {OVERHEAD_ITERATIONS} iterations "
+    BENCH.export("overhead", {
+        "protocol": f"{BENCH.pairs} alternating pairs (paired_overhead); "
+                    f"each arm call runs {OVERHEAD_ITERATIONS} iterations "
                     f"of the fleet-shaped mix (1 /batch of "
                     f"{OVERHEAD_BATCH_ROWS} device rows + 2 /evaluate, "
-                    "1-in-3 veto path), GC off while timed, so host-"
-                    "level slow phases land on both arms equally; spans "
-                    "+ RED metrics + access log + SLIs on vs "
-                    "observability=False; the fixed per-request cost "
-                    "comes from an /evaluate-only arm and is reported, "
-                    "not asserted",
-        "budget_pct": OVERHEAD_BUDGET_PCT,
-        "overhead_pct": overhead_pct,
-        "per_trial_overhead_pct": ratios,
-        "best_seconds_instrumented": best_on,
-        "best_seconds_disabled": best_off,
-        "requests_per_batch": requests,
-        "device_evaluations_per_batch": devices,
+                    "1-in-3 veto path) on its own plane by direct "
+                    "dispatch; spans + RED metrics + access log + SLIs on "
+                    "vs observability=False; the fixed per-request cost "
+                    f"comes from {EVALUATE_ONLY_REQUESTS}-request "
+                    "/evaluate-only pairs and is reported, not asserted",
+        **report,
+        "requests_per_call": OVERHEAD_ITERATIONS * 3,
+        "device_evaluations_per_call": devices,
         "per_request_fixed_cost_us": per_request_cost_us,
         "evaluate_only_us": {"instrumented": eval_on * 1e6,
                              "disabled": eval_off * 1e6},
-        "quick": QUICK,
     })
 
-    assert overhead_pct <= OVERHEAD_BUDGET_PCT, (
-        f"observability overhead {overhead_pct:.2f}% exceeds "
+    assert result.median_pct <= OVERHEAD_BUDGET_PCT, (
+        f"observability overhead {result.median_pct:.2f}% exceeds "
         f"{OVERHEAD_BUDGET_PCT}% budget")

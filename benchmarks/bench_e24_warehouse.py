@@ -22,17 +22,19 @@ Four claims, one experiment file:
 * **Ingest overhead <= 5%** — a full E10-style confrontation sweep
   (``run_matrix`` over safeguard arms x seeds) with live warehouse
   ingest costs at most 5% more wall clock than the same sweep without,
-  with the two arms alternating at single-trial granularity so host
-  drift lands on both equally (median ratio across trials).
+  the two arms timed in alternating pairs so host drift lands on both
+  alike (median pair ratio).
 
 Results export to ``benchmarks/results/BENCH_E24.json``; the warehouse's
 per-experiment medians fold into ``benchmarks/results/TRAJECTORY.json``
-— the longitudinal perf/defense record CI appends to per revision.
+— the longitudinal perf/defense record CI appends to per revision.  The
+ingest claim always reads the committed ``BENCH_*.json`` documents.
 
 Quick mode (``E24_QUICK=1``, used by CI): fewer seeds, shorter horizon.
 """
 
 import http.client
+import itertools
 import json
 import os
 import statistics
@@ -41,10 +43,12 @@ import time
 
 import pytest
 
+from conftest import RESULTS_DIR, BenchResults
 from repro.api.http import ServerThread
 from repro.api.service import ControlPlane, ControlPlaneConfig
 from repro.scenarios.confrontation import ConfrontationScenario, ThreatConfig
-from repro.scenarios.harness import ExperimentTable, SafeguardConfig, run_matrix
+from repro.scenarios.harness import (ExperimentTable, SafeguardConfig,
+                                     paired_overhead, run_matrix)
 from repro.telemetry.warehouse import (
     RunKey,
     RunRecord,
@@ -55,14 +59,16 @@ from repro.telemetry.warehouse import (
     update_trajectory,
 )
 
-QUICK = os.environ.get("E24_QUICK", "") not in ("", "0")
+BENCH = BenchResults(
+    "E24", "Telemetry warehouse + cross-run regression sentinel",
+    {"throughput": "records or queries/sec", "overhead": "percent wall clock"})
+QUICK = BENCH.quick
 
 SEEDS = (3,) if QUICK else (3, 4, 5)
 HORIZON = 40.0 if QUICK else 120.0
 SYNTHETIC_RECORDS = 300 if QUICK else 1500
 QUERY_REPS = 200 if QUICK else 1000
 HTTP_QUERIES = 20 if QUICK else 60
-OVERHEAD_TRIALS = 7 if QUICK else 5
 OVERHEAD_BUDGET_PCT = 5.0
 
 THREATS = ThreatConfig(
@@ -75,9 +81,7 @@ ARMS = [
     ("full", SafeguardConfig.full()),
 ]
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_E24.json")
-TRAJECTORY_PATH = os.path.join(RESULTS_DIR, "TRAJECTORY.json")
+TRAJECTORY_PATH = os.path.join(BENCH.dir, "TRAJECTORY.json")
 
 
 def _git_rev() -> str:
@@ -91,24 +95,6 @@ def _git_rev() -> str:
             text=True, timeout=10, check=True).stdout.strip() or "local"
     except (OSError, subprocess.SubprocessError):
         return "local"
-
-
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_E24.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "E24",
-        "title": "Telemetry warehouse + cross-run regression sentinel",
-        "unit": {"throughput": "records or queries/sec",
-                 "overhead": "percent wall clock"},
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
 
 
 def _scenario_bundle(dirpath: str, seed: int, arm: str = "full") -> str:
@@ -199,7 +185,7 @@ def test_warehouse_ingests_real_artifacts_and_queries(tmp_path, experiment):
     table.add_row("percentile queries", QUERY_REPS, round(query_rate, 1))
     experiment(table)
 
-    _export("ingest", {
+    BENCH.export("ingest", {
         "real_bundles": bundles_ingested,
         "bench_documents": counts["bench"],
         "committed_bundles": counts["bundles"],
@@ -208,7 +194,6 @@ def test_warehouse_ingests_real_artifacts_and_queries(tmp_path, experiment):
         "query_rate_per_sec": round(query_rate, 1),
         "bytes_on_disk": reopened.stats()["bytes_on_disk"],
         "trajectory_points": len(trajectory["points"]),
-        "quick": QUICK,
     })
 
 
@@ -253,14 +238,13 @@ def test_sentinel_gates_regressions_and_passes_clean(experiment):
     table.add_row("-5% throughput (noise)", "OK", 0)
     experiment(table)
 
-    _export("sentinel", {
+    BENCH.export("sentinel", {
         "identical_pair_ok": clean.ok,
         "throughput_drop_flagged": not perf.ok,
         "throughput_drop_relative_pct": round(
             perf.regressions[0].relative_pct, 2),
         "defense_increase_flagged": not defense.ok,
         "noise_within_band_ok": True,
-        "quick": QUICK,
     })
 
 
@@ -317,12 +301,11 @@ def test_query_endpoint_over_live_http(tmp_path, experiment):
     table.add_row(HTTP_QUERIES, round(p50, 2), round(p95, 2), "yes")
     experiment(table)
 
-    _export("serving", {
+    BENCH.export("serving", {
         "queries": HTTP_QUERIES,
         "latency_p50_ms": round(p50, 3),
         "latency_p95_ms": round(p95, 3),
         "span_chain_explained": True,
-        "quick": QUICK,
     })
 
 
@@ -335,66 +318,49 @@ def test_ingest_overhead_under_budget_on_e10_sweep(tmp_path, experiment):
                                          threats=THREATS)
         return scenario.run(until=HORIZON)
 
-    def sweep(warehouse) -> float:
-        start = time.perf_counter()
+    def bare() -> None:
+        run_matrix(ARMS, run_arm, seeds=SEEDS, experiment="e10",
+                   git_rev="bench")
+
+    fresh = itertools.count()
+
+    def ingested() -> None:
+        # A fresh warehouse directory per call keeps ingest honest (no
+        # idempotent no-op shortcut).  Batched flushing (one fsync per
+        # sweep, not per cell) is the campaign-ingest mode; per-record
+        # durability is for services, not sweeps.
+        warehouse = Warehouse(str(tmp_path / f"wh{next(fresh)}"),
+                              flush_every=64)
         run_matrix(ARMS, run_arm, seeds=SEEDS, warehouse=warehouse,
                    experiment="e10", git_rev="bench")
-        if warehouse is not None:
-            warehouse.flush()            # batched-ingest durability point
-        return time.perf_counter() - start
+        warehouse.flush()            # batched-ingest durability point
 
-    import gc
-
-    sweep(None)                          # warmup: imports, allocator
-    ratios = []
-    bare_times, ingest_times = [], []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for trial in range(OVERHEAD_TRIALS):
-            # Alternate arms within each trial so host drift lands on
-            # both equally; a fresh warehouse directory per trial keeps
-            # ingest honest (no idempotent no-op shortcut).
-            bare = sweep(None)
-            # Batched flushing (one fsync per sweep, not per cell) is
-            # the campaign-ingest mode; per-record durability is for
-            # services, not sweeps.
-            ingested = sweep(Warehouse(str(tmp_path / f"wh{trial}"),
-                                       flush_every=64))
-            bare_times.append(bare)
-            ingest_times.append(ingested)
-            ratios.append(ingested / bare)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    overhead_pct = (statistics.median(ratios) - 1.0) * 100.0
+    result = paired_overhead(ingested, bare, pairs=BENCH.pairs,
+                             budget_pct=OVERHEAD_BUDGET_PCT)
+    report = result.report()
     cells = len(ARMS) * len(SEEDS)
     sample = Warehouse(str(tmp_path / "wh0"))
     assert len(sample) == cells          # every cell landed exactly once
 
     table = ExperimentTable(
         "E24 warehouse ingest overhead (E10-style sweep)",
-        ["arm", "median_wall_sec", "overhead_pct"])
-    table.add_row("sweep only", round(statistics.median(bare_times), 3), "-")
-    table.add_row("sweep + ingest",
-                  round(statistics.median(ingest_times), 3),
-                  round(overhead_pct, 2))
+        ["arm", "median_wall_sec", "overhead"])
+    table.add_row("sweep only", report["median_seconds_baseline"], "-")
+    table.add_row("sweep + ingest", report["median_seconds_treated"],
+                  result.summary())
     experiment(table)
 
-    _export("overhead", {
+    BENCH.export("overhead", {
+        "protocol": f"{BENCH.pairs} alternating pairs (paired_overhead) "
+                    "of one run_matrix sweep, with live ingest into a "
+                    "fresh warehouse vs without",
+        **report,
         "arms": [label for label, _config in ARMS],
         "seeds": list(SEEDS),
         "horizon": HORIZON,
-        "trials": OVERHEAD_TRIALS,
         "cells_per_sweep": cells,
-        "sweep_wall_sec_median": round(statistics.median(bare_times), 4),
-        "ingest_wall_sec_median": round(statistics.median(ingest_times), 4),
-        "overhead_pct": round(overhead_pct, 3),
-        "budget_pct": OVERHEAD_BUDGET_PCT,
-        "quick": QUICK,
     })
 
-    assert overhead_pct <= OVERHEAD_BUDGET_PCT, (
-        f"warehouse ingest overhead {overhead_pct:.2f}% exceeds "
+    assert result.median_pct <= OVERHEAD_BUDGET_PCT, (
+        f"warehouse ingest overhead {result.median_pct:.2f}% exceeds "
         f"{OVERHEAD_BUDGET_PCT}% budget")

@@ -38,10 +38,17 @@ import time
 
 import pytest
 
+from conftest import BenchResults
 from repro.scenarios.harness import ExperimentTable
 from repro.scenarios.sharded import ShardedScenario
 
-QUICK = os.environ.get("F4_QUICK", "") not in ("", "0")
+BENCH = BenchResults(
+    "F4", "Sharded fleet execution + vectorized guard/safeness batch "
+          "evaluation",
+    {"decisions_per_sec": "guard decisions / wall second",
+     "events_per_sec": "simulator events / wall second"},
+    cores=os.cpu_count())
+QUICK = BENCH.quick
 
 N_DEVICES = 2_000 if QUICK else 10_000
 HORIZON = 16.0 if QUICK else 24.0
@@ -55,29 +62,6 @@ CROSSOVER_PAIRS = 5
 SPEC = dict(seed=7, horizon=HORIZON, window=4.0, n_communities=64,
             n_devices=N_DEVICES)
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_F4.json")
-
-
-def _export(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_F4.json (tests run in any order)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    document = {
-        "experiment": "F4",
-        "title": "Sharded fleet execution + vectorized guard/safeness "
-                 "batch evaluation",
-        "unit": {"decisions_per_sec": "guard decisions / wall second",
-                 "events_per_sec": "simulator events / wall second"},
-        "quick": QUICK,
-        "cores": os.cpu_count(),
-    }
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH, encoding="utf-8") as handle:
-            document = json.load(handle)
-    document[section] = payload
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
 
 
 def timed_run(**kwargs):
@@ -108,7 +92,7 @@ def test_f4_vectorized_vs_scalar(experiment):
     table.add_row("scalar", round(sca_wall, 3), int(sca_rate))
     table.add_row("vectorized", round(vec_wall, 3), int(vec_rate))
     experiment(table)
-    _export("vectorization", {
+    BENCH.export("vectorization", {
         "devices": N_DEVICES, "decisions": decisions,
         "scalar_wall_sec": sca_wall, "vector_wall_sec": vec_wall,
         "scalar_decisions_per_sec": int(sca_rate),
@@ -152,7 +136,7 @@ def test_f4_shard_scaling(experiment):
     top = SHARD_COUNTS[-1]
     speedup = base_wall / runs[top][1]
     multicore = cores >= MIN_CORES_FOR_SPEEDUP and top >= 4
-    _export("sharding", {
+    BENCH.export("sharding", {
         "shard_counts": list(SHARD_COUNTS), "runs": rows,
         "trace_digest": base_run.trace_digest,
         "speedup_at_top": round(speedup, 2),
@@ -171,7 +155,7 @@ def test_f4_scale_within_wall_budget():
     budget even serially on one core — the scale claim does not depend
     on parallel hardware."""
     run, wall = timed_run(n_shards=1)
-    _export("fleet_scale", {
+    BENCH.export("fleet_scale", {
         "devices": N_DEVICES, "horizon": HORIZON,
         "decisions": run.summary["decisions"],
         "wall_sec": wall, "budget_sec": SCALE_WALL_BUDGET_SEC,
@@ -215,7 +199,7 @@ def test_f4_crossover_one_shard_vs_two_processes(experiment):
             "trace_digest": next(iter(digests))[0],
         }
     experiment(table)
-    _export("crossover", {
+    BENCH.export("crossover", {
         "horizon": HORIZON, "cores": os.cpu_count(),
         "pairs": CROSSOVER_PAIRS, "devices": sizes,
         "gate": "none: wall times are data; digest equality asserted",

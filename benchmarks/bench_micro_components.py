@@ -119,7 +119,7 @@ def test_event_queue_push_pop_throughput(benchmark):
 
 def test_simulator_event_loop_throughput(benchmark):
     """The tentpole fast path: tuple-heap pop_until + slots payloads,
-    tracing off, no profiler — pure run-loop overhead per event."""
+    tracing off — pure run-loop overhead per event."""
     from repro.sim.simulator import Simulator
 
     def spin(n_events):
@@ -136,25 +136,3 @@ def test_simulator_event_loop_throughput(benchmark):
         return count[0]
 
     assert benchmark(spin, 5000) == 5000
-
-
-def test_simulator_loop_profiled_overhead(benchmark):
-    from repro.sim.profiling import profile_run
-    from repro.sim.simulator import Simulator
-
-    def spin(n_events):
-        sim = Simulator(seed=1, trace_enabled=False)
-        count = [0]
-
-        def tick():
-            count[0] += 1
-            if count[0] < n_events:
-                sim.schedule(0.001, tick, label="bench:tick")
-
-        sim.schedule(0.001, tick, label="bench:tick")
-        with profile_run(sim) as profiler:
-            sim.run()
-        assert profiler.per_label["bench:tick"][0] == n_events
-        return count[0]
-
-    assert benchmark(spin, 2000) == 2000

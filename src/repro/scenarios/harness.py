@@ -4,13 +4,18 @@ Every benchmark builds a scenario under a :class:`SafeguardConfig`, runs
 it to a horizon, and prints an :class:`ExperimentTable`.  The config's
 preset constructors name the ablation arms of DESIGN.md.
 :func:`run_matrix` executes a full configs x seeds grid and aggregates,
-with JSON export for downstream analysis.
+with JSON export for downstream analysis.  :func:`paired_overhead` is
+the one timing protocol behind every safeguard-overhead claim.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import random
+import statistics
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -196,25 +201,92 @@ def run_matrix(
     return aggregated
 
 
-def write_telemetry_bundle(sim, dirpath: str,
-                           extra: Optional[dict] = None,
-                           experiment: Optional[str] = None,
-                           arm: Optional[str] = None,
-                           seed=None) -> dict:
-    """Write the per-run telemetry bundle for any simulation.
+@dataclass(frozen=True)
+class PairedOverhead:
+    """What :func:`paired_overhead` measured, and its verdict."""
 
-    Thin harness-level wrapper over
-    :func:`repro.telemetry.exposition.write_bundle` so every benchmark
-    can emit the same artifact layout (``metrics.prom``,
-    ``metrics.jsonl``, ``spans.jsonl``, ``events.jsonl``,
-    ``manifest.json``) regardless of which scenario it ran; pass
-    ``experiment``/``arm``/``seed`` so the manifest self-describes for
-    warehouse ingest.
+    ratios: tuple             # treated / baseline wall time, one per pair
+    seconds_treated: tuple
+    seconds_baseline: tuple
+    median_pct: float         # the overhead: median pair ratio, as percent
+    ci_pct: tuple             # seeded bootstrap 95% CI of that median
+    budget_pct: float
+    verdict: str              # "within budget" | "inconclusive" | "over"
+
+    def summary(self) -> str:
+        """The overhead as the docs quote it: median and CI, in percent."""
+        low, high = self.ci_pct
+        return (f"{self.median_pct:.2f}% (95% CI {low:.2f}% to "
+                f"{high:.2f}%)")
+
+    def report(self) -> dict:
+        """The artifact section every overhead bench exports."""
+        return {
+            "pairs": len(self.ratios),
+            "pair_ratios": list(self.ratios),
+            "overhead_pct": self.median_pct,
+            "ci95_pct": list(self.ci_pct),
+            "budget_pct": self.budget_pct,
+            "verdict": self.verdict,
+            "median_seconds_treated": statistics.median(self.seconds_treated),
+            "median_seconds_baseline": statistics.median(
+                self.seconds_baseline),
+        }
+
+
+#: Bootstrap resamples behind every paired-overhead CI (fixed seed 0,
+#: so a CI is a pure function of its ratios).
+BOOTSTRAP_RESAMPLES = 2000
+
+
+def paired_overhead(treated: Callable[[], object],
+                    baseline: Callable[[], object], *, pairs: int,
+                    budget_pct: float,
+                    clock: Callable[[], float] = time.perf_counter,
+                    ) -> PairedOverhead:
+    """Time ``treated`` against ``baseline`` in alternating pairs.
+
+    Both arms run once untimed to warm up.  Then each of ``pairs``
+    pairs times one call of each arm, treated first on even pairs and
+    baseline first on odd ones, so host drift and warm-cache order land
+    on both arms alike; a full collection before every timed call keeps
+    one arm's garbage from being paid by the other.  Each pair yields
+    one ratio; the overhead is the median ratio with a seeded bootstrap
+    95% CI of that median.  The verdict is "within budget" only when the
+    CI's upper bound is under ``budget_pct``, "over" when its lower
+    bound is above it, and "inconclusive" otherwise.
     """
-    from repro.telemetry.exposition import write_bundle
-
-    return write_bundle(sim, dirpath, extra_manifest=extra,
-                        experiment=experiment, arm=arm, seed=seed)
+    if pairs < 1:
+        raise ValueError("pairs must be >= 1")
+    treated()
+    baseline()
+    on: list = []
+    off: list = []
+    for index in range(pairs):
+        order = ((treated, on), (baseline, off))
+        for arm, times in (order if index % 2 == 0 else order[::-1]):
+            gc.collect()
+            start = clock()
+            arm()
+            times.append(clock() - start)
+    ratios = tuple(a / b for a, b in zip(on, off))
+    rng = random.Random(0)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP_RESAMPLES))
+    tail = BOOTSTRAP_RESAMPLES // 40        # 2.5% each side
+    low = (medians[tail] - 1.0) * 100.0
+    high = (medians[-1 - tail] - 1.0) * 100.0
+    if high < budget_pct:
+        verdict = "within budget"
+    elif low > budget_pct:
+        verdict = "over"
+    else:
+        verdict = "inconclusive"
+    return PairedOverhead(
+        ratios=ratios, seconds_treated=tuple(on),
+        seconds_baseline=tuple(off),
+        median_pct=(statistics.median(ratios) - 1.0) * 100.0,
+        ci_pct=(low, high), budget_pct=budget_pct, verdict=verdict)
 
 
 def run_replications(run_fn: Callable[[int], dict], seeds: Sequence[int]) -> dict:

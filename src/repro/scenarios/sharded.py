@@ -33,7 +33,7 @@ Interop carried across shard boundaries:
   processes (the per-process tracer's counter-minted ids stay out of the
   determinism surface).
 * **E20** — per-shard barrier timing gauges
-  (:class:`~repro.sim.profiling.BarrierTiming`) publish through the
+  (:class:`~repro.sim.sharding.BarrierTiming`) publish through the
   existing metrics/exposition stack.
 
 numpy is required here (the whole point is the vectorized block

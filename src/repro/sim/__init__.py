@@ -9,9 +9,9 @@ metric collection, and structured tracing.
 from repro.sim.event_queue import EventQueue, ScheduledEvent
 from repro.sim.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
-from repro.sim.profiling import BarrierTiming, Profiler, profile_run
 from repro.sim.rng import SeededRNG
 from repro.sim.sharding import (
+    BarrierTiming,
     ShardPlan,
     ShardResult,
     ShardedRun,
@@ -32,7 +32,6 @@ __all__ = [
     "InjectedFault",
     "MetricsRegistry",
     "ScheduledEvent",
-    "Profiler",
     "SeededRNG",
     "ShardPlan",
     "ShardResult",
@@ -43,6 +42,5 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "partition_graph",
-    "profile_run",
     "run_sharded",
 ]

@@ -15,7 +15,6 @@ observing it (the chaos experiments, E17).
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -137,9 +136,6 @@ class Simulator:
                                 clock=lambda: self._now)
         self.supervisor = Supervisor(self, supervision, kill_threshold)
         self.livelock_threshold = livelock_threshold
-        #: Optional :class:`~repro.sim.profiling.Profiler`; when set the
-        #: run loop times every callback (one ``is None`` check otherwise).
-        self.profiler = None
         self._now = 0.0
         self._running = False
         self._stop_requested = False
@@ -204,45 +200,6 @@ class Simulator:
 
     # -- execution -----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process a single event.  Returns ``False`` when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError("event queue returned an event from the past")
-        self._check_livelock(event)
-        self._now = event.time
-        telemetry = self.telemetry
-        telemetry.current = event.span
-        try:
-            event.callback(*event.args)
-        except Exception as error:
-            if not self.supervisor.handle(event, error):
-                raise
-        finally:
-            telemetry.current = None
-        self.events_processed += 1
-        return True
-
-    def _check_livelock(self, event: ScheduledEvent) -> None:
-        if self.livelock_threshold is None:
-            return
-        if event.time == self._now and self.events_processed > 0:
-            self._stall_count += 1
-            self._stall_labels.append(event.label)
-            if len(self._stall_labels) > 8:
-                del self._stall_labels[0]
-            if self._stall_count > self.livelock_threshold:
-                raise SimulationError(
-                    f"livelock: {self._stall_count} consecutive events at "
-                    f"t={self._now} (threshold {self.livelock_threshold}); "
-                    f"recent labels: {self._stall_labels}"
-                )
-        else:
-            self._stall_count = 0
-            self._stall_labels.clear()
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue empties, ``until`` is reached, or ``max_events`` fire.
 
@@ -266,7 +223,6 @@ class Simulator:
         pop_until = self.queue.pop_until
         supervisor = self.supervisor
         livelock_threshold = self.livelock_threshold
-        profiler = self.profiler
         telemetry = self.telemetry
         try:
             while True:
@@ -304,14 +260,7 @@ class Simulator:
                 # next iteration overwrites it, the outer finally clears it).
                 telemetry.current = event.span
                 try:
-                    if profiler is None:
-                        event.callback(*event.args)
-                    else:
-                        started = perf_counter()
-                        try:
-                            event.callback(*event.args)
-                        finally:
-                            profiler.add(event.label, perf_counter() - started)
+                    event.callback(*event.args)
                 except Exception as error:
                     if not supervisor.handle(event, error):
                         raise

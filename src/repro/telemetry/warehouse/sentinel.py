@@ -2,8 +2,8 @@
 
 :func:`compare_runs` takes a baseline run set and a candidate run set
 (each possibly several trials), reduces every shared metric to its
-**median over trials** (the E23 best-of-N convention: one robust number
-per side, so a single slow trial cannot manufacture a regression), and
+**median over trials** (one robust number per side, so a single slow
+trial cannot manufacture a regression), and
 judges the delta against a per-family tolerance band:
 
 * **defense** counters (``skynet``, ``healthy_killed``, ``rogue_harm``…)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.trust.provenance import ProvenanceRecord, TrustLedger
 
 #: Default score delta per audit outcome.  Positive outcomes accrue
 #: slowly; negative ones bite hard — reputation must be cheap to lose
@@ -55,12 +54,6 @@ class ReputationLedger:
     ``full_weight_at``, linearly down to ``min_weight`` below it (never
     zero: a suspect device still counts *fractionally*, it is not
     silently disenfranchised).
-
-    ``trust_ledger`` mirrors every outcome into the sec VI-B
-    :class:`~repro.trust.provenance.TrustLedger` as an agreement
-    observation, so sensor trust and device reputation share one
-    provenance record shape (:attr:`provenance` keeps the
-    :class:`~repro.trust.provenance.ProvenanceRecord` trail).
     """
 
     def __init__(
@@ -72,7 +65,6 @@ class ReputationLedger:
         full_weight_at: float = 0.6,
         probation_at: float = 0.35,
         journal=None,
-        trust_ledger: Optional[TrustLedger] = None,
         on_update: Optional[Callable[[str, str, float, float], None]] = None,
     ):
         if not 0.0 <= baseline <= 1.0:
@@ -93,15 +85,11 @@ class ReputationLedger:
         self.full_weight_at = full_weight_at
         self.probation_at = probation_at
         self._journal = journal
-        self.trust_ledger = trust_ledger
         self.on_update = on_update
         #: device_id -> (score at last update, time of last update)
         self._scores: dict[str, tuple] = {}
         #: outcome -> count, fleet-wide.
         self.outcomes: dict[str, int] = {}
-        #: Provenance trail of device outcomes (shared record shape with
-        #: sensor trust, satellite of E22).
-        self.provenance: list[ProvenanceRecord] = []
 
     # -- reads -------------------------------------------------------------------
 
@@ -165,33 +153,11 @@ class ReputationLedger:
                 "kind": "outcome", "device": device_id, "outcome": outcome,
                 "time": now, "score": updated,
             })
-        if self.trust_ledger is not None:
-            agreement = 1.0 if self.weights[outcome] >= 0 else 0.0
-            self.trust_ledger.observe(device_id, agreement)
-            self.provenance.append(ProvenanceRecord(
-                source=device_id, kind=f"device.{outcome}", value=updated,
-                time=now, chain=("reputation",),
-            ))
         if self.on_update is not None:
             self.on_update(device_id, outcome, updated, now)
         return updated
 
     # -- fleet views -------------------------------------------------------------
-
-    def mean(self, now: float) -> Optional[float]:
-        if not self._scores:
-            return None
-        return sum(self.score(d, now) for d in self._scores) / len(self._scores)
-
-    def minimum(self, now: float) -> Optional[float]:
-        if not self._scores:
-            return None
-        return min(self.score(d, now) for d in self._scores)
-
-    def in_band(self, band: str, now: float) -> list[str]:
-        if band not in BANDS:
-            raise ConfigurationError(f"unknown band {band!r}")
-        return [d for d in self.known() if self.band(d, now) == band]
 
     def snapshot(self, now: float) -> dict:
         return {device_id: self.score(device_id, now)
@@ -206,7 +172,6 @@ class ReputationLedger:
         lost = len(self._scores)
         self._scores = {}
         self.outcomes = {}
-        self.provenance = []
         return {"lost": lost, "kind": "reputation",
                 "journaled": self._journal is not None}
 

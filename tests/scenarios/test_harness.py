@@ -8,6 +8,7 @@ from repro.scenarios.harness import (
     ExperimentTable,
     SafeguardConfig,
     mean_and_std,
+    paired_overhead,
     run_replications,
 )
 
@@ -86,3 +87,38 @@ def test_run_replications_aggregates_numeric_keys():
     assert result["harm"][0] == 2.0
     assert result["count"][0] == 4.0
     assert "label" not in result
+
+
+@pytest.mark.parametrize("budget_pct, verdict", [
+    (6.0, "within budget"), (3.0, "inconclusive"), (0.5, "over")],
+    ids=["within", "inconclusive", "over"])
+def test_paired_overhead_alternates_and_judges_the_ci(budget_pct, verdict):
+    """Fixed durations on a fake clock: one warm-up call per arm, then
+    pairs whose order flips every pair; per-pair ratios 1.01..1.05 give
+    a 3% median whose bootstrap CI spans the extreme pairs."""
+    now = [0.0]
+    calls = []
+
+    def arm(name, durations):
+        remaining = iter(durations)
+
+        def run():
+            calls.append(name)
+            now[0] += next(remaining)
+        return run
+
+    result = paired_overhead(
+        arm("T", [9.0, 1.01, 1.02, 1.03, 1.04, 1.05]),
+        arm("B", [9.0] + [1.0] * 5),
+        pairs=5, budget_pct=budget_pct, clock=lambda: now[0])
+
+    assert "".join(calls) == "TB" + "TB" "BT" "TB" "BT" "TB"
+    assert result.ratios == pytest.approx((1.01, 1.02, 1.03, 1.04, 1.05))
+    assert result.median_pct == pytest.approx(3.0)
+    assert result.ci_pct == pytest.approx((1.0, 5.0))
+    assert result.verdict == verdict
+    report = result.report()
+    assert report["pairs"] == 5 and report["overhead_pct"] == result.median_pct
+    assert result.summary() == "3.00% (95% CI 1.00% to 5.00%)"
+    with pytest.raises(ValueError):
+        paired_overhead(lambda: None, lambda: None, pairs=0, budget_pct=5.0)

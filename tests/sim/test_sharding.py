@@ -4,7 +4,7 @@ The scenario-level byte-identity property lives in
 ``tests/scenarios/test_sharded_scenario.py``; here we pin down the
 engine pieces it stands on — deterministic partitions, the barrier
 schedule, routing order, the summary/trace/audit merges, and the
-:class:`~repro.sim.profiling.BarrierTiming` satellite.
+:class:`~repro.sim.sharding.BarrierTiming` satellite.
 """
 
 import pytest
@@ -12,8 +12,8 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.shardnet import ShardRouter, WireMessage, crc01, wire_sort_key
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.profiling import BarrierTiming
 from repro.sim.sharding import (
+    BarrierTiming,
     ShardPlan,
     ShardResult,
     audit_chain_digest,

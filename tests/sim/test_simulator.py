@@ -217,43 +217,6 @@ def test_kill_hooks_are_per_owner():
     assert killed == ["a", "b"]
 
 
-# -- profiling hook -----------------------------------------------------------------
-
-
-def test_profiler_attributes_time_per_label(sim):
-    from repro.sim.profiling import profile_run
-
-    sim.schedule(1.0, lambda: sum(range(200)), label="dev:fast")
-    sim.schedule(2.0, lambda: sum(range(5000)), label="dev:slow")
-    sim.schedule(3.0, lambda: None, label="dev:fast")
-    with profile_run(sim) as profiler:
-        sim.run(until=10.0)
-    assert sim.profiler is None                  # restored on exit
-    assert profiler.events == 3
-    assert profiler.per_label["dev:fast"][0] == 2
-    assert profiler.per_label["dev:slow"][0] == 1
-    assert profiler.busy_time > 0 and profiler.wall_time >= profiler.busy_time
-    report = profiler.report()
-    assert report["events"] == 3
-    assert {row["label"] for row in report["top_labels"]} == {"dev:fast", "dev:slow"}
-    assert profiler.events_per_sec() > 0
-    assert "ev/s" in profiler.format_report()
-
-
-def test_profiler_accounts_crashing_callbacks():
-    from repro.sim.profiling import profile_run
-
-    sim = Simulator(seed=0, supervision="isolate")
-
-    def boom():
-        raise RuntimeError("x")
-
-    sim.schedule(1.0, boom, label="dev:boom")
-    with profile_run(sim) as profiler:
-        sim.run(until=5.0)
-    assert profiler.per_label["dev:boom"][0] == 1   # timed despite the crash
-
-
 def test_nan_horizon_is_rejected(sim):
     # No timestamp compares greater than NaN, so the run could never end.
     fired = []

@@ -3,9 +3,8 @@ benchmark artifacts; these tests fail when the prose and the artifact
 disagree.
 
 The artifacts are the full-protocol ``benchmarks/results/BENCH_*.json``
-files.  Running a bench in quick mode rewrites its artifact in place, so
-restore the committed file (``git checkout benchmarks/results``) before
-running these.
+files; quick-mode bench runs write to ``benchmarks/results/quick/`` and
+never touch them.
 """
 
 import json
@@ -36,11 +35,17 @@ def assert_quoted(quote: str, source: str) -> None:
             f"{name} does not quote {quote!r} from {source}")
 
 
-def test_e21_signing_overhead_is_quoted_from_its_artifact():
-    overhead = artifact("BENCH_E21.json")["overhead"]
-    assert overhead["quick"] is False, "BENCH_E21.json is a quick-mode rewrite"
-    assert_quoted(f"{overhead['overhead_pct']:.2f}%",
-                  "BENCH_E21.json overhead.overhead_pct")
+@pytest.mark.parametrize("experiment", ["E19", "E20", "E21", "E23", "E24"])
+def test_overhead_median_and_ci_are_quoted_from_their_artifact(experiment):
+    """Each safeguard overhead is quoted as its paired median with the
+    bootstrap 95% CI, in the form ``PairedOverhead.summary()`` renders."""
+    bench = artifact(f"BENCH_{experiment}.json")
+    assert bench["quick"] is False, f"BENCH_{experiment}.json is quick-mode"
+    overhead = bench["overhead"]
+    low, high = overhead["ci95_pct"]
+    assert_quoted(
+        f"{overhead['overhead_pct']:.2f}% (95% CI {low:.2f}% to {high:.2f}%)",
+        f"BENCH_{experiment}.json overhead")
 
 
 @pytest.mark.parametrize("devices", ["10000", "100000"])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.store import Journal, StableStorage
-from repro.trust import BANDS, OUTCOME_WEIGHTS, ReputationLedger, TrustLedger
+from repro.trust import BANDS, OUTCOME_WEIGHTS, ReputationLedger
 
 
 # -- scores ------------------------------------------------------------------------
@@ -14,7 +14,6 @@ def test_unknown_device_reads_baseline_and_is_not_known():
     ledger = ReputationLedger()
     assert ledger.score("ghost", 5.0) == ledger.baseline
     assert ledger.known() == []
-    assert ledger.mean(5.0) is None and ledger.minimum(5.0) is None
 
 
 def test_outcome_deltas_are_exact_and_clamped():
@@ -76,29 +75,11 @@ def test_bands_and_fleet_views():
     assert ledger.band("p", 0.0) == "probation"
     assert ledger.band("s", 0.0) == "suspect"
     assert ledger.band("ghost", 0.0) == "probation"        # baseline sits mid
-    assert ledger.in_band("suspect", 0.0) == ["s"]
-    with pytest.raises(ConfigurationError):
-        ledger.in_band("banished", 0.0)
     assert set(BANDS) == {"trusted", "probation", "suspect"}
     assert ledger.known() == ["p", "s", "t"]
     assert ledger.aggregate(("t", "s"), 0.0) == pytest.approx(0.85)
-    assert ledger.minimum(0.0) == 0.25
-    assert ledger.mean(0.0) == pytest.approx((0.6 + 0.42 + 0.25) / 3)
     assert ledger.snapshot(0.0) == {
         "p": pytest.approx(0.42), "s": 0.25, "t": pytest.approx(0.6)}
-
-
-def test_outcomes_mirror_into_trust_ledger_as_provenance():
-    trust = TrustLedger()
-    ledger = ReputationLedger(decay=0.0, trust_ledger=trust)
-    before = trust.trust("d0")
-    ledger.record("d0", "validated", 1.0)
-    ledger.record("d0", "veto", 2.0)
-    # Shared record shape: same ProvenanceRecord trail as sensor trust.
-    kinds = [(r.source, r.kind, r.chain) for r in ledger.provenance]
-    assert kinds == [("d0", "device.validated", ("reputation",)),
-                     ("d0", "device.veto", ("reputation",))]
-    assert trust.trust("d0") != before                     # outcomes moved it
 
 
 def test_ctor_validation():
